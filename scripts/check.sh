@@ -18,8 +18,7 @@
 #   --sanitize  rebuild with -DKLOC_SANITIZE=ON (ASan+UBSan) in
 #               BUILD_DIR-asan and run the full test suite there
 #   --tsan      rebuild with -DKLOC_TSAN=ON in BUILD_DIR-tsan and run
-#               the RunPool/parallel-identity/fuzz-sweep/shard tests
-#               there
+#               the RunPool/parallel-identity/fuzz-sweep tests there
 #   --all       everything above (except --lint-fast, which --lint
 #               subsumes)
 set -euo pipefail
@@ -29,9 +28,6 @@ cd "$(dirname "$0")/.."
 BUILD_DIR=${BUILD_DIR:-build}
 JOBS=${JOBS:-$(nproc)}
 export KLOC_JOBS=${KLOC_JOBS:-$(nproc)}
-# Sharded-engine worker threads (sim/epoch.hh). Any value must
-# produce byte-identical traces; the tests exercise 1/2/4 explicitly.
-export KLOC_SHARDS=${KLOC_SHARDS:-$(nproc)}
 
 DO_LINT=0
 DO_LINT_FAST=0
@@ -157,7 +153,7 @@ if [ "$DO_TSAN" = 1 ]; then
         -DKLOC_TSAN=ON
     cmake --build "$TSAN_DIR" -j "$JOBS"
     ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$JOBS" \
-        -R 'RunPool|ParallelIdentity|FaultFuzz|Shard'
+        -R 'RunPool|ParallelIdentity|FaultFuzz'
     echo "check.sh: tsan stage OK"
 fi
 

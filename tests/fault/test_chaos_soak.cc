@@ -34,8 +34,6 @@
 #include "policy/registry.hh"
 #include "sim/machine.hh"
 #include "trace/invariants.hh"
-#include "workload/runner.hh"
-#include "workload/workload.hh"
 
 namespace kloc {
 namespace {
@@ -349,97 +347,6 @@ TEST(ChaosSoak, AllPoliciesCleanAndByteIdenticalAcrossWorkerCounts)
         EXPECT_EQ(pooled[i].trace, serial[i].trace)
             << pooled[i].policy << " seed " << pooled[i].seed
             << ": pooled and serial traces diverge";
-    }
-}
-
-/** One poison-stormed sharded workload run on a fresh platform. */
-struct ShardedStormRun
-{
-    std::string trace;
-    PoisonStats poison;
-    uint64_t quarantined = 0;
-    bool clean = false;
-    std::string report;
-};
-
-ShardedStormRun
-runShardedStorm(const char *workload_name, unsigned workers)
-{
-    TwoTierPlatform::Config platform_config;
-    platform_config.scale = 256;
-    TwoTierPlatform platform(platform_config);
-    System &sys = platform.sys();
-    platform.applyStrategy(StrategyKind::Kloc);
-
-    // Poison chaos only: per-access/scan/copy poisoning plus storm
-    // bursts on both tiers, timed to land while the epoch engine is
-    // mid-run. All fault consultation happens in serial barrier
-    // context (daemons, migrations, and barrier-applied op replays),
-    // so the chaos must stay worker-count-invariant.
-    FaultSpec fspec;
-    std::string err;
-    if (!FaultSpec::parse(
-            "seed 707\n"
-            "frame_poison_access prob 0.0005\n"
-            "frame_poison_scan prob 0.001\n"
-            "frame_poison_copy prob 0.002\n"
-            "poison_storm at 8000000 tier 0 frames 4 repeat 3"
-            " every 10000000\n"
-            "poison_storm at 20000000 tier 1 frames 2\n",
-            fspec, &err)) {
-        ADD_FAILURE() << "FaultSpec::parse failed: " << err;
-        return {};
-    }
-    sys.machine().faults().configure(fspec);
-    sys.migrator().scheduleTierEvents();
-    sys.fs().startDaemons();
-    sys.machine().tracer().setEnabled(true);
-    InvariantChecker checker(sys.machine().tracer(), /*strict=*/true);
-
-    WorkloadConfig wl_config;
-    wl_config.scale = 1024;
-    wl_config.operations = 1200;
-    wl_config.seed = 7;
-    auto workload = makeWorkload(workload_name, wl_config);
-    ShardPlan plan;
-    plan.workers = workers;
-    ShardedWorkloadRunner runner(sys, plan);
-    runner.run(*workload);
-    sys.machine().faults().clear();
-    workload->teardown(sys);
-
-    ShardedStormRun run;
-    run.trace = sys.machine().tracer().serialize();
-    run.poison = sys.migrator().poisonStats();
-    run.quarantined = sys.tiers().quarantinedPages();
-    run.clean = checker.clean();
-    run.report = checker.report();
-    return run;
-}
-
-/**
- * Poison storms against sharded scenarios: ShardContext-ported
- * workloads ride the epoch engine while storm bursts and seeded
- * frame poisoning fire. Containment must hold (strict invariants,
- * non-vacuous poisoning) and the whole chaotic run must remain
- * byte-identical between 1 and 4 workers.
- */
-TEST(ChaosSoakSharded, PoisonStormsByteIdenticalAcrossWorkerCounts)
-{
-    for (const char *workload_name : {"thrash", "rocksdb"}) {
-        SCOPED_TRACE(workload_name);
-        const ShardedStormRun serial = runShardedStorm(workload_name, 1);
-        EXPECT_TRUE(serial.clean) << serial.report;
-        EXPECT_GT(serial.poison.poisonedFrames, 0u)
-            << "storms never reached the sharded run";
-        EXPECT_GT(serial.poison.stormFrames, 0u);
-
-        const ShardedStormRun wide = runShardedStorm(workload_name, 4);
-        EXPECT_TRUE(wide.clean) << wide.report;
-        EXPECT_EQ(serial.trace, wide.trace)
-            << "poison-stormed sharded trace diverged across workers";
-        EXPECT_EQ(serial.poison.poisonedFrames, wide.poison.poisonedFrames);
-        EXPECT_EQ(serial.quarantined, wide.quarantined);
     }
 }
 

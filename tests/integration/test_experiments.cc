@@ -11,11 +11,13 @@
  *    migrations are demotion-dominated.
  *  - Fig. 5a protocol: KLOCs on the Optane platform beats static
  *    placement after the task escapes the interferer.
+ *  - Fig. 7: on the thrash workload, AllSlow < Naive < KLOCs < AllFast.
  *  - Table 6: KLOC metadata stays below 1% of memory.
  */
 
 #include <gtest/gtest.h>
 
+#include "bench/harness.hh"
 #include "platform/optane.hh"
 #include "platform/two_tier.hh"
 #include "workload/runner.hh"
@@ -145,6 +147,33 @@ TEST(Fig4Shape, KlocsBeatsBaselinesOnRocksDb)
     EXPECT_GT(klocs, nimble)
         << "KLOCs must beat application-only tiering (Nimble)";
     EXPECT_GT(all_fast, klocs) << "AllFast is the upper bound";
+}
+
+/**
+ * Fig. 7's quick cell (thrash, 15k ops, scale 256, seed 42) through
+ * the same runTwoTierPolicy call the bench makes: eager promotion
+ * (Naive) must lose to KLOCs on the capacity-straddling working set,
+ * and both must sit between the single-tier bounds.
+ */
+TEST(Fig7Shape, ThrashRanksNaiveBelowKlocs)
+{
+    bench::BenchConfig config;
+    config.quick = true;
+    config.ops = 15000;
+    config.scale = 256;
+    auto throughput = [&](const char *policy) {
+        return bench::runTwoTierPolicy("thrash", policy,
+                                       bench::twoTierConfig(config),
+                                       bench::workloadConfig(config))
+            .throughput;
+    };
+    const double all_slow = throughput("all_slow");
+    const double naive = throughput("naive");
+    const double klocs = throughput("klocs");
+    const double all_fast = throughput("all_fast");
+    EXPECT_LT(all_slow, naive);
+    EXPECT_LT(naive, klocs) << "eager promotion must lose on thrash";
+    EXPECT_LT(klocs, all_fast) << "AllFast is the upper bound";
 }
 
 TEST(Fig5bShape, KlocsAvoidsSlowAllocationsAndDemotes)

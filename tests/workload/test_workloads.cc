@@ -80,7 +80,8 @@ TEST_P(WorkloadParam, TeardownReleasesMemory)
 INSTANTIATE_TEST_SUITE_P(Table3, WorkloadParam,
                          ::testing::Values("rocksdb", "redis", "filebench",
                                            "cassandra", "spark",
-                                           "varmail", "webserver"));
+                                           "varmail", "webserver",
+                                           "thrash"));
 
 TEST(WorkloadShape, WebserverChurnsSocketKlocs)
 {

@@ -4,16 +4,17 @@
  *
  *   klocsim list
  *   klocsim run [--workload W] [--strategy S] [--ops N] [--scale K]
- *               [--ratio R] [--fast-gb G] [--huge-pages] [--shards N]
+ *               [--ratio R] [--fast-gb G] [--huge-pages]
  *   klocsim optane [--workload W] [--mode M] [--ops N] [--scale K]
  *   klocsim characterize [--workload W] [--scale K]
  *
- * --shards runs the workload on the epoch engine's fixed 4-shard
- * decomposition with N worker threads (N=0 or "auto" takes the
- * KLOC_SHARDS environment default). Traces and metrics are
- * byte-identical at every N; only wall-clock changes. Workloads
- * without a ShardContext port are rejected with a diagnostic —
- * drop the flag to run them serially.
+ * `run` drives the same setup/quiesce/measure protocol as the bench
+ * harness (runMeasured), so a run prints the ops and virtual time
+ * the figure benches report for the same configuration.
+ *
+ * Numeric flags take a whole unsigned decimal within the flag's
+ * range (--ops >= 1, --scale 1..65536, --ratio 1..1024, --fast-gb
+ * 1..1024); anything else exits 1 with a diagnostic.
  *
  * Policies (--strategy): every name in policyNames() — all_fast
  *             all_slow naive autonuma nimble nimble++
@@ -27,6 +28,8 @@
  */
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -57,13 +60,32 @@ struct Args
     uint64_t fastGb = 8;
     bool hugePages = false;
     bool fullStats = false;
-    /** -1 = serial; 0 = auto (KLOC_SHARDS); >0 = worker threads. */
-    int shards = -1;
     std::string tracePath;
     bool check = false;
     std::string faultSpecPath;
     uint64_t faultSeed = 0;  ///< 0 = keep the spec file's seed
 };
+
+/**
+ * Parse @p text as the value of numeric flag @p flag: the whole
+ * string must be an unsigned decimal in [@p lo, @p hi]. strtoull
+ * alone accepts "1x" as 1, "abc" as 0, and wraps "-1" to 2^64-1.
+ */
+uint64_t
+parseNumber(const std::string &flag, const char *text, uint64_t lo,
+            uint64_t hi)
+{
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(text, &end, 10);
+    if (text[0] < '0' || text[0] > '9' || *end != '\0' || errno == ERANGE ||
+        v < lo || v > hi) {
+        fatal("flag %s wants an integer in [%llu, %llu], got '%s'",
+              flag.c_str(), (unsigned long long)lo,
+              (unsigned long long)hi, text);
+    }
+    return v;
+}
 
 Args
 parseArgs(int argc, char **argv, int first)
@@ -83,25 +105,17 @@ parseArgs(int argc, char **argv, int first)
         else if (flag == "--mode")
             args.mode = value();
         else if (flag == "--ops")
-            args.ops = std::strtoull(value(), nullptr, 10);
+            args.ops = parseNumber(flag, value(), 1, UINT64_MAX);
         else if (flag == "--scale")
-            args.scale = static_cast<unsigned>(
-                std::strtoul(value(), nullptr, 10));
+            args.scale =
+                static_cast<unsigned>(parseNumber(flag, value(), 1, 65536));
         else if (flag == "--ratio")
-            args.ratio = static_cast<unsigned>(
-                std::strtoul(value(), nullptr, 10));
+            args.ratio =
+                static_cast<unsigned>(parseNumber(flag, value(), 1, 1024));
         else if (flag == "--fast-gb")
-            args.fastGb = std::strtoull(value(), nullptr, 10);
+            args.fastGb = parseNumber(flag, value(), 1, 1024);
         else if (flag == "--huge-pages")
             args.hugePages = true;
-        else if (flag == "--shards") {
-            const std::string v = value();
-            args.shards = v == "auto"
-                ? 0
-                : static_cast<int>(std::strtol(v.c_str(), nullptr, 10));
-            if (args.shards < 0)
-                fatal("--shards wants a worker count or 'auto'");
-        }
         else if (flag == "--stats")
             args.fullStats = true;
         else if (flag == "--trace")
@@ -111,7 +125,7 @@ parseArgs(int argc, char **argv, int first)
         else if (flag == "--fault-spec")
             args.faultSpecPath = value();
         else if (flag == "--fault-seed")
-            args.faultSeed = std::strtoull(value(), nullptr, 10);
+            args.faultSeed = parseNumber(flag, value(), 0, UINT64_MAX);
         else
             fatal("unknown flag '%s'", flag.c_str());
     }
@@ -339,43 +353,13 @@ cmdRun(const Args &args)
     wl_config.hugePages = args.hugePages;
     auto workload = makeWorkload(args.workload, wl_config);
 
-    WorkloadResult result;
-    ShardRunStats shard_stats{};
-    if (args.shards >= 0) {
-        if (!workload->shardable()) {
-            fatal("workload '%s' has no ShardContext port and cannot "
-                  "run under --shards; drop the flag to run it "
-                  "serially, or port it (see docs/SHARDING.md)",
-                  args.workload.c_str());
-        }
-        ShardPlan plan;
-        plan.workers = static_cast<unsigned>(args.shards);
-        const unsigned resolved = plan.workers
-            ? plan.workers
-            : ShardedEngine::defaultWorkers();
-        std::printf("sharded: %u logical shards, %u worker thread%s "
-                    "(traces are worker-count-invariant)\n",
-                    plan.shards, resolved, resolved == 1 ? "" : "s");
-        ShardedWorkloadRunner runner(sys, plan);
-        result = runner.run(*workload);
-        shard_stats = runner.stats();
-    } else {
-        result = runMeasured(sys, *workload);
-    }
+    const WorkloadResult result = runMeasured(sys, *workload);
 
     std::printf("%s under %s: %.0f ops/s (%llu ops, %.1f ms virtual)\n",
                 args.workload.c_str(), args.strategy.c_str(),
                 result.throughput(),
                 (unsigned long long)result.operations,
                 static_cast<double>(result.elapsed) / kMillisecond);
-    if (args.shards >= 0) {
-        std::printf("  shard overhead  %llu epochs, %llu msgs, "
-                    "%.2f ms barrier (%.2f ms merge) wall\n",
-                    (unsigned long long)shard_stats.epochs,
-                    (unsigned long long)shard_stats.messages,
-                    static_cast<double>(shard_stats.barrierWallNs) / 1e6,
-                    static_cast<double>(shard_stats.mergeWallNs) / 1e6);
-    }
     printCommonStats(sys);
     printFaultStats(sys);
     if (args.fullStats)
