@@ -18,11 +18,12 @@ namespace {
 
 double
 run(const BenchConfig &bench_config, const std::string &workload_name,
-    StrategyKind kind, bool huge)
+    const std::string &strategy, bool huge)
 {
-    TwoTierPlatform platform(twoTierConfig(bench_config));
+    TwoTierPlatform platform(
+        sizeForPolicy(twoTierConfig(bench_config), strategy));
     System &sys = platform.sys();
-    platform.applyStrategy(kind);
+    platform.applyPolicyByName(strategy);
     sys.fs().startDaemons();
     WorkloadConfig config = workloadConfig(bench_config);
     config.hugePages = huge;
@@ -39,8 +40,7 @@ main()
 {
     const BenchConfig config = BenchConfig::fromEnv();
     const std::vector<std::string> workloads = {"redis", "cassandra"};
-    const std::vector<StrategyKind> strategies = {
-        StrategyKind::NimblePlusPlus, StrategyKind::Kloc};
+    const std::vector<std::string> strategies = {"nimble++", "klocs"};
 
     // (workload, strategy, page size) grid in print order; huge pages
     // are the odd slot of each pair.
@@ -48,9 +48,8 @@ main()
     const auto throughputs = sweep<double>(config, runs, [&](size_t i) {
         const std::string &workload =
             workloads[i / (strategies.size() * 2)];
-        const StrategyKind kind =
-            strategies[(i / 2) % strategies.size()];
-        return run(config, workload, kind, i % 2 == 1);
+        return run(config, workload, strategies[(i / 2) % strategies.size()],
+                   i % 2 == 1);
     });
 
     section("Extension: transparent huge pages for the app arena (§5)");
@@ -59,15 +58,14 @@ main()
     JsonReport report("ablation_thp", config.outdir);
     for (size_t w = 0; w < workloads.size(); ++w) {
         for (size_t s = 0; s < strategies.size(); ++s) {
-            const StrategyKind kind = strategies[s];
+            const std::string &strategy = strategies[s];
             const size_t slot = (w * strategies.size() + s) * 2;
             const double base = throughputs[slot];
             const double huge = throughputs[slot + 1];
             std::printf("%-11s %-18s %12.0f %12.0f %7.2fx\n",
-                        workloads[w].c_str(), strategyName(kind), base,
+                        workloads[w].c_str(), strategy.c_str(), base,
                         huge, base > 0 ? huge / base : 1.0);
-            report.add(workloads[w] + "." + strategyName(kind) +
-                           ".thp_gain",
+            report.add(workloads[w] + "." + strategy + ".thp_gain",
                        base > 0 ? huge / base : 1.0, "x", "higher",
                        true);
         }

@@ -130,11 +130,7 @@ runTwoTierPolicy(const std::string &workload_name,
                  TwoTierPlatform::Config platform_config,
                  WorkloadConfig workload_config, bool trace = false)
 {
-    // The AllFast bound needs a fast tier that holds everything.
-    if (policy_name == "all_fast") {
-        platform_config.fastCapacity += platform_config.slowCapacity;
-    }
-    TwoTierPlatform platform(platform_config);
+    TwoTierPlatform platform(sizeForPolicy(platform_config, policy_name));
     System &sys = platform.sys();
     if (trace)
         sys.machine().tracer().setEnabled(true);
@@ -147,16 +143,6 @@ runTwoTierPolicy(const std::string &workload_name,
     RunOutcome outcome = collectTwoTierOutcome(platform, result);
     workload->teardown(sys);
     return outcome;
-}
-
-/** runTwoTierPolicy with a StrategyKind (the classic benches). */
-inline RunOutcome
-runTwoTier(const std::string &workload_name, StrategyKind kind,
-           TwoTierPlatform::Config platform_config,
-           WorkloadConfig workload_config, bool trace = false)
-{
-    return runTwoTierPolicy(workload_name, strategyName(kind),
-                            platform_config, workload_config, trace);
 }
 
 /** Default two-tier platform config at @p config's bench scale. */

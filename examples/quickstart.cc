@@ -3,14 +3,14 @@
  * Quickstart: build the two-tier platform, enable KLOCs, run a small
  * filesystem workload, and inspect what the abstraction did.
  *
- *   $ ./quickstart [strategy]
+ *   $ ./quickstart [strategy] [workload]
  *
- * where strategy is one of: all_fast, all_slow, naive, nimble,
- * nimble++, klocs_nomigration, klocs (default).
+ * where strategy is any name in policyNames() (klocs by default) and
+ * workload defaults to rocksdb.
  */
 
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "platform/two_tier.hh"
@@ -19,36 +19,20 @@
 
 using namespace kloc;
 
-namespace {
-
-StrategyKind
-parseStrategy(const std::string &name)
-{
-    for (const StrategyKind kind :
-         {StrategyKind::AllFast, StrategyKind::AllSlow,
-          StrategyKind::Naive, StrategyKind::Nimble,
-          StrategyKind::NimblePlusPlus, StrategyKind::KlocNoMigration,
-          StrategyKind::Kloc}) {
-        if (name == strategyName(kind))
-            return kind;
-    }
-    fatal("unknown strategy '%s'", name.c_str());
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    const StrategyKind kind =
-        argc > 1 ? parseStrategy(argv[1]) : StrategyKind::Kloc;
+    const std::string strategy = argc > 1 ? argv[1] : "klocs";
+    const auto &known = policyNames();
+    if (std::find(known.begin(), known.end(), strategy) == known.end())
+        fatal("unknown strategy '%s'", strategy.c_str());
     const std::string workload_name = argc > 2 ? argv[2] : "rocksdb";
 
     // A scaled-down two-tier machine: the paper's 8 GB fast tier at
     // 1:64 scale, slow tier at a quarter of fast bandwidth.
     TwoTierPlatform::Config config;
     config.scale = 64;
-    TwoTierPlatform platform(config);
+    TwoTierPlatform platform(sizeForPolicy(config, strategy));
     System &sys = platform.sys();
 
     std::printf("two-tier platform: fast %llu MiB / slow %llu MiB\n",
@@ -59,9 +43,9 @@ main(int argc, char **argv)
                     sys.tiers().tier(platform.slowTier()).spec().capacity /
                     kMiB));
 
-    platform.applyStrategy(kind);
+    platform.applyPolicyByName(strategy);
     sys.fs().startDaemons();
-    std::printf("strategy: %s\n", strategyName(kind));
+    std::printf("strategy: %s\n", strategy.c_str());
 
     // Run a small RocksDB-like workload.
     WorkloadConfig wl_config;

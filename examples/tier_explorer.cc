@@ -6,9 +6,11 @@
  *
  *   $ ./tier_explorer [workload] [strategy] [ops]
  *
- * e.g.  ./tier_explorer rocksdb klocs 40000
+ * where strategy is any name in policyNames(), e.g.
+ *       ./tier_explorer rocksdb klocs 40000
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -21,31 +23,17 @@ using namespace kloc;
 
 namespace {
 
-StrategyKind
-parseStrategy(const std::string &name)
-{
-    for (const StrategyKind kind :
-         {StrategyKind::AllFast, StrategyKind::AllSlow,
-          StrategyKind::Naive, StrategyKind::Nimble,
-          StrategyKind::NimblePlusPlus, StrategyKind::KlocNoMigration,
-          StrategyKind::Kloc}) {
-        if (name == strategyName(kind))
-            return kind;
-    }
-    fatal("unknown strategy '%s'", name.c_str());
-}
-
 double
-run(const std::string &workload_name, StrategyKind kind, Bytes capacity,
-    unsigned ratio, uint64_t ops)
+run(const std::string &workload_name, const std::string &strategy,
+    Bytes capacity, unsigned ratio, uint64_t ops)
 {
     TwoTierPlatform::Config config;
     config.scale = 64;
     config.fastCapacity = capacity;
     config.bandwidthRatio = ratio;
-    TwoTierPlatform platform(config);
+    TwoTierPlatform platform(sizeForPolicy(config, strategy));
     System &sys = platform.sys();
-    platform.applyStrategy(kind);
+    platform.applyPolicyByName(strategy);
     sys.fs().startDaemons();
 
     WorkloadConfig wl_config;
@@ -63,14 +51,16 @@ int
 main(int argc, char **argv)
 {
     const std::string workload = argc > 1 ? argv[1] : "rocksdb";
-    const StrategyKind kind =
-        parseStrategy(argc > 2 ? argv[2] : "klocs");
+    const std::string strategy = argc > 2 ? argv[2] : "klocs";
+    const auto &known = policyNames();
+    if (std::find(known.begin(), known.end(), strategy) == known.end())
+        fatal("unknown strategy '%s'", strategy.c_str());
     const uint64_t ops =
         argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 40000;
 
     std::printf("tier_explorer: %s under %s, %llu ops "
                 "(speedup vs all_slow at each point)\n\n",
-                workload.c_str(), strategyName(kind),
+                workload.c_str(), strategy.c_str(),
                 static_cast<unsigned long long>(ops));
 
     std::printf("%-12s", "fast \\ bw");
@@ -83,9 +73,9 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(capacity / kGiB));
         for (const unsigned ratio : {8u, 4u, 2u}) {
             const double slow =
-                run(workload, StrategyKind::AllSlow, capacity, ratio,
-                    ops);
-            const double fast = run(workload, kind, capacity, ratio, ops);
+                run(workload, "all_slow", capacity, ratio, ops);
+            const double fast =
+                run(workload, strategy, capacity, ratio, ops);
             std::printf("   %5.2fx", slow > 0 ? fast / slow : 1.0);
             std::fflush(stdout);
         }

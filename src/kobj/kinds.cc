@@ -1,98 +1,77 @@
 #include "kobj/kinds.hh"
 
+#include <iterator>
+
 #include "base/logging.hh"
 
 namespace kloc {
 
+namespace {
+
+/** One kernel-object kind: what every consumer asks of it. */
+struct KindRow
+{
+    const char *name;
+    Bytes size;
+    ObjClass cls;
+    bool slab;  ///< a stock kernel slab-allocates it
+};
+
+// Indexed by KobjKind. Sizes mirror the corresponding Linux
+// structures (ext4, jbd2, block, net) rounded to their slab size
+// classes.
+constexpr KindRow kKinds[] = {
+    {"inode", Bytes{1024}, ObjClass::FsSlab, true},  // ext4_inode_info
+    {"dentry", Bytes{192}, ObjClass::FsSlab, true},
+    {"journal_record", Bytes{120}, ObjClass::Journal, true},  // journal_head
+    {"extent", Bytes{64}, ObjClass::FsSlab, true},  // extent_status
+    {"bio", Bytes{200}, ObjClass::BlockIo, true},
+    {"blk_mq_ctx", Bytes{384}, ObjClass::BlockIo, true},
+    {"radix_node", Bytes{576}, ObjClass::FsSlab, true},  // radix_tree_node
+    {"sock", Bytes{1088}, ObjClass::SockBuf, true},  // tcp_sock class
+    {"skbuff", Bytes{232}, ObjClass::SockBuf, true},  // sk_buff
+    {"dir_buffer", Bytes{1024}, ObjClass::FsSlab, true},
+    {"page_cache_page", kPageSize, ObjClass::PageCache, false},
+    {"journal_page", kPageSize, ObjClass::Journal, false},
+    {"skbuff_data", kPageSize, ObjClass::SockBuf, false},
+    {"rx_buf", kPageSize, ObjClass::SockBuf, false},
+};
+static_assert(std::size(kKinds) == kNumKobjKinds,
+              "one kKinds row per KobjKind");
+
+const KindRow &
+row(KobjKind kind)
+{
+    const auto index = static_cast<unsigned>(kind);
+    if (index >= kNumKobjKinds)
+        panic("bad kobj kind %u", index);
+    return kKinds[index];
+}
+
+} // namespace
+
 Bytes
 kobjSize(KobjKind kind)
 {
-    // Sizes mirror the corresponding Linux structures (ext4, jbd2,
-    // block, net) rounded to their slab size classes.
-    switch (kind) {
-      case KobjKind::Inode:         return Bytes{1024};  // ext4_inode_info
-      case KobjKind::Dentry:        return Bytes{192};
-      case KobjKind::JournalRecord: return Bytes{120};   // journal_head
-      case KobjKind::Extent:        return Bytes{64};    // extent_status
-      case KobjKind::Bio:           return Bytes{200};
-      case KobjKind::BlkMqCtx:      return Bytes{384};
-      case KobjKind::RadixNode:     return Bytes{576};   // radix_tree_node
-      case KobjKind::Sock:          return Bytes{1088};  // tcp_sock class
-      case KobjKind::SkbuffHead:    return Bytes{232};   // sk_buff
-      case KobjKind::DirBuffer:     return Bytes{1024};
-      case KobjKind::PageCachePage: return kPageSize;
-      case KobjKind::JournalPage:   return kPageSize;
-      case KobjKind::SkbuffData:    return kPageSize;
-      case KobjKind::RxBuf:         return kPageSize;
-      case KobjKind::NumKinds:      break;
-    }
-    panic("bad kobj kind %u", static_cast<unsigned>(kind));
+    return row(kind).size;
 }
 
 ObjClass
 kobjClass(KobjKind kind)
 {
-    switch (kind) {
-      case KobjKind::Inode:
-      case KobjKind::Dentry:
-      case KobjKind::Extent:
-      case KobjKind::RadixNode:
-      case KobjKind::DirBuffer:
-        return ObjClass::FsSlab;
-      case KobjKind::JournalRecord:
-      case KobjKind::JournalPage:
-        return ObjClass::Journal;
-      case KobjKind::Bio:
-      case KobjKind::BlkMqCtx:
-        return ObjClass::BlockIo;
-      case KobjKind::Sock:
-      case KobjKind::SkbuffHead:
-      case KobjKind::SkbuffData:
-      case KobjKind::RxBuf:
-        return ObjClass::SockBuf;
-      case KobjKind::PageCachePage:
-        return ObjClass::PageCache;
-      case KobjKind::NumKinds:
-        break;
-    }
-    panic("bad kobj kind %u", static_cast<unsigned>(kind));
+    return row(kind).cls;
 }
 
 bool
 kobjIsSlab(KobjKind kind)
 {
-    switch (kind) {
-      case KobjKind::PageCachePage:
-      case KobjKind::JournalPage:
-      case KobjKind::SkbuffData:
-      case KobjKind::RxBuf:
-        return false;
-      default:
-        return true;
-    }
+    return row(kind).slab;
 }
 
 const char *
 kobjKindName(KobjKind kind)
 {
-    switch (kind) {
-      case KobjKind::Inode:         return "inode";
-      case KobjKind::Dentry:        return "dentry";
-      case KobjKind::JournalRecord: return "journal_record";
-      case KobjKind::Extent:        return "extent";
-      case KobjKind::Bio:           return "bio";
-      case KobjKind::BlkMqCtx:      return "blk_mq_ctx";
-      case KobjKind::RadixNode:     return "radix_node";
-      case KobjKind::Sock:          return "sock";
-      case KobjKind::SkbuffHead:    return "skbuff";
-      case KobjKind::DirBuffer:     return "dir_buffer";
-      case KobjKind::PageCachePage: return "page_cache_page";
-      case KobjKind::JournalPage:   return "journal_page";
-      case KobjKind::SkbuffData:    return "skbuff_data";
-      case KobjKind::RxBuf:         return "rx_buf";
-      case KobjKind::NumKinds:      break;
-    }
-    return "unknown";
+    return row(kind).name;
 }
 
 } // namespace kloc

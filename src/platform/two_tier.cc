@@ -79,22 +79,12 @@ TwoTierPlatform::applyPolicyByName(const std::string &name)
     return applyPolicy(std::move(policy));
 }
 
-TieringStrategy &
-TwoTierPlatform::applyStrategy(StrategyKind kind,
-                               TieringStrategy::Config config)
+TwoTierPlatform::Config
+sizeForPolicy(TwoTierPlatform::Config config, const std::string &policy_name)
 {
-    auto strategy = std::make_unique<TieringStrategy>(
-        kind, _system->heap(), _system->lru(), _system->migrator(),
-        &_system->kloc(), _fast, _slow, config);
-    TieringStrategy &ref = *strategy;
-    applyPolicy(std::move(strategy));
-    return ref;
-}
-
-TieringStrategy &
-TwoTierPlatform::applyStrategy(StrategyKind kind)
-{
-    return applyStrategy(kind, TieringStrategy::Config{});
+    if (policy_name == "all_fast")
+        config.fastCapacity += config.slowCapacity;
+    return config;
 }
 
 } // namespace kloc

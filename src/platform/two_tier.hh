@@ -18,7 +18,6 @@
 
 #include "platform/system.hh"
 #include "policy/registry.hh"
-#include "policy/strategy.hh"
 
 namespace kloc {
 
@@ -68,26 +67,8 @@ class TwoTierPlatform
      */
     Policy &applyPolicyByName(const std::string &name);
 
-    /**
-     * Install and start @p kind with the given strategy config.
-     * Replaces any previously applied policy.
-     */
-    TieringStrategy &applyStrategy(StrategyKind kind,
-                                   TieringStrategy::Config config);
-
-    TieringStrategy &applyStrategy(StrategyKind kind);
-
     /** The applied policy, or nullptr before the first apply. */
     Policy *policy() { return _policy.get(); }
-
-    /**
-     * The applied policy as a TieringStrategy, or nullptr when none
-     * is applied or the policy is not a plain strategy.
-     */
-    TieringStrategy *strategy()
-    {
-        return dynamic_cast<TieringStrategy *>(_policy.get());
-    }
 
     const Config &config() const { return _config; }
 
@@ -104,6 +85,16 @@ class TwoTierPlatform
     TierId _slow = kInvalidTier;
     std::unique_ptr<Policy> _policy;
 };
+
+/**
+ * @p config sized for @p policy_name. The all_fast bound needs a
+ * fast tier that holds everything, so it gains the slow capacity;
+ * every other policy keeps @p config. Every driver that builds a
+ * platform from a policy name sizes it here, so one name means one
+ * platform whichever driver runs it.
+ */
+TwoTierPlatform::Config sizeForPolicy(TwoTierPlatform::Config config,
+                                      const std::string &policy_name);
 
 } // namespace kloc
 

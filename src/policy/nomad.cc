@@ -50,7 +50,7 @@ TierPreference
 NomadStrategy::kernelPlacement(ObjClass cls, bool knode_active)
 {
     if (_config.composeKloc) {
-        // KLOC placement (§4.2.2), identical to StrategyKind::Kloc.
+        // KLOC placement (§4.2.2), identical to the klocs row.
         if (cls == ObjClass::KlocMeta)
             return {_fast, _slow};
         if (_kloc && !_kloc->classManaged(cls))

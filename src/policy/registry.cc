@@ -8,22 +8,86 @@ namespace kloc {
 
 namespace {
 
-struct KindEntry
+struct Row;
+using Factory = std::unique_ptr<Policy> (*)(const Row &,
+                                            const PolicyContext &);
+
+/** One registered policy. */
+struct Row
 {
     const char *name;
-    StrategyKind kind;
+    bool needsKloc;    ///< makePolicy refuses a null ctx.kloc
+    bool conformance;  ///< in conformancePolicyNames()
+    Factory make;
+    TieringStrategy::Behavior tiering;  ///< read by makeTiering only
 };
 
-constexpr KindEntry kKindEntries[] = {
-    {"all_fast",          StrategyKind::AllFast},
-    {"all_slow",          StrategyKind::AllSlow},
-    {"naive",             StrategyKind::Naive},
-    {"autonuma",          StrategyKind::AutoNuma},
-    {"nimble",            StrategyKind::Nimble},
-    {"nimble++",          StrategyKind::NimblePlusPlus},
-    {"klocs_nomigration", StrategyKind::KlocNoMigration},
-    {"klocs",             StrategyKind::Kloc},
+std::unique_ptr<Policy>
+makeTiering(const Row &row, const PolicyContext &ctx)
+{
+    return std::make_unique<TieringStrategy>(row.name, row.tiering, ctx,
+                                             TieringStrategy::Config{});
+}
+
+std::unique_ptr<Policy>
+makeNomad(const Row &row, const PolicyContext &ctx)
+{
+    NomadStrategy::Config config;
+    config.composeKloc = row.needsKloc;
+    return std::make_unique<NomadStrategy>(ctx.heap, ctx.lru, ctx.migrator,
+                                           ctx.kloc, ctx.fast, ctx.slow,
+                                           config);
+}
+
+std::unique_ptr<Policy>
+makeJenga(const Row &, const PolicyContext &ctx)
+{
+    return std::make_unique<JengaStrategy>(ctx.heap, ctx.lru, ctx.migrator,
+                                           ctx.fast, ctx.slow);
+}
+
+using S = TieringStrategy::Start;
+
+// Table 5 rows spell their behaviour as {kernel start, app start,
+// app scan, kernel scan, parallel copy, KLOC interface, KLOC daemon}.
+// The row order is policyNames() order.
+constexpr Row kRows[] = {
+    {"all_fast", false, false, makeTiering,
+     {S::Fast, S::Fast, false, false, false, false, false}},
+    {"all_slow", false, false, makeTiering,
+     {S::Slow, S::Slow, false, false, false, false, false}},
+    {"naive", false, true, makeTiering,
+     {S::FastFirst, S::FastFirst, false, false, false, false, false}},
+    // Stock NUMA balancing ignores kernel objects and copies serially.
+    {"autonuma", false, true, makeTiering,
+     {S::FastFirst, S::FastFirst, true, false, false, false, false}},
+    // Prior art places kernel objects in slow memory (§3.2).
+    {"nimble", false, false, makeTiering,
+     {S::SlowFirst, S::FastFirst, true, false, true, false, false}},
+    // Nimble's LRU scans extended to kernel pages, without KLOCs.
+    {"nimble++", false, false, makeTiering,
+     {S::FastFirst, S::FastFirst, true, true, true, false, false}},
+    // Both KLOC rows reuse Nimble's app-page tiering (Table 5); kernel
+    // objects move through knodes, and only klocs runs the daemon.
+    {"klocs_nomigration", true, false, makeTiering,
+     {S::KnodeHotness, S::FastFirst, true, false, true, true, false}},
+    {"klocs", true, true, makeTiering,
+     {S::KnodeHotness, S::FastFirst, true, false, true, true, true}},
+    {"nomad", false, true, makeNomad, {}},
+    {"kloc_nomad", true, true, makeNomad, {}},
+    {"jenga", false, true, makeJenga, {}},
 };
+
+std::vector<std::string>
+namesWhere(bool conformance_only)
+{
+    std::vector<std::string> names;
+    for (const Row &row : kRows) {
+        if (!conformance_only || row.conformance)
+            names.emplace_back(row.name);
+    }
+    return names;
+}
 
 } // namespace
 
@@ -36,31 +100,12 @@ PolicyContext::tiers() const
 std::unique_ptr<Policy>
 makePolicy(const std::string &name, const PolicyContext &ctx)
 {
-    for (const KindEntry &entry : kKindEntries) {
-        if (name == entry.name) {
-            const bool needs_kloc =
-                entry.kind == StrategyKind::KlocNoMigration ||
-                entry.kind == StrategyKind::Kloc;
-            if (needs_kloc && ctx.kloc == nullptr)
+    for (const Row &row : kRows) {
+        if (name == row.name) {
+            if (row.needsKloc && ctx.kloc == nullptr)
                 return nullptr;
-            return std::make_unique<TieringStrategy>(
-                entry.kind, ctx.heap, ctx.lru, ctx.migrator, ctx.kloc,
-                ctx.fast, ctx.slow);
+            return row.make(row, ctx);
         }
-    }
-    if (name == "nomad" || name == "kloc_nomad") {
-        NomadStrategy::Config config;
-        config.composeKloc = name == "kloc_nomad";
-        if (config.composeKloc && ctx.kloc == nullptr)
-            return nullptr;
-        return std::make_unique<NomadStrategy>(ctx.heap, ctx.lru,
-                                               ctx.migrator, ctx.kloc,
-                                               ctx.fast, ctx.slow, config);
-    }
-    if (name == "jenga") {
-        return std::make_unique<JengaStrategy>(ctx.heap, ctx.lru,
-                                               ctx.migrator, ctx.fast,
-                                               ctx.slow);
     }
     return nullptr;
 }
@@ -68,20 +113,14 @@ makePolicy(const std::string &name, const PolicyContext &ctx)
 const std::vector<std::string> &
 policyNames()
 {
-    static const std::vector<std::string> names = {
-        "all_fast", "all_slow",  "naive",    "autonuma",
-        "nimble",   "nimble++",  "klocs_nomigration", "klocs",
-        "nomad",    "kloc_nomad", "jenga",
-    };
+    static const std::vector<std::string> names = namesWhere(false);
     return names;
 }
 
 const std::vector<std::string> &
 conformancePolicyNames()
 {
-    static const std::vector<std::string> names = {
-        "naive", "autonuma", "klocs", "nomad", "jenga", "kloc_nomad",
-    };
+    static const std::vector<std::string> names = namesWhere(true);
     return names;
 }
 

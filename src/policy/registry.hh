@@ -5,9 +5,9 @@
  * Tests, benches, and the fault fuzz build policies through this one
  * factory, so a newly registered policy is automatically swept by
  * the conformance suite and the policy benches. Registering a policy
- * means: add its name to policyNames() (and conformancePolicyNames()
- * if it should pass the shared fixture — it should), and teach
- * makePolicy() to build it. See docs/POLICIES.md.
+ * means adding one row to the table in registry.cc: its name, whether
+ * it needs a KlocManager, whether it is in the conformance set, and
+ * how to build it. See docs/POLICIES.md.
  *
  * The registry is platform-free: it takes the subsystem references a
  * policy needs directly, so a raw test stack (no TwoTierPlatform)
@@ -64,7 +64,8 @@ const std::vector<std::string> &policyNames();
 
 /**
  * The dynamic policies every conformance test runs against (the
- * six-way comparison: Naive/AutoNUMA/KLOC/Nomad/Jenga/KLOC+Nomad).
+ * six-way comparison: Naive/AutoNUMA/KLOC/Nomad/KLOC+Nomad/Jenga),
+ * in policyNames() order.
  */
 const std::vector<std::string> &conformancePolicyNames();
 

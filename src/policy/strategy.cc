@@ -4,84 +4,34 @@
 
 namespace kloc {
 
-const char *
-strategyName(StrategyKind kind)
-{
-    switch (kind) {
-      case StrategyKind::AllFast:         return "all_fast";
-      case StrategyKind::AllSlow:         return "all_slow";
-      case StrategyKind::Naive:           return "naive";
-      case StrategyKind::AutoNuma:        return "autonuma";
-      case StrategyKind::Nimble:          return "nimble";
-      case StrategyKind::NimblePlusPlus:  return "nimble++";
-      case StrategyKind::KlocNoMigration: return "klocs_nomigration";
-      case StrategyKind::Kloc:            return "klocs";
-    }
-    return "unknown";
-}
-
-TieringStrategy::TieringStrategy(StrategyKind kind, KernelHeap &heap,
-                                 LruEngine &lru, MigrationEngine &migrator,
-                                 KlocManager *kloc, TierId fast, TierId slow,
-                                 Config config)
-    : _kind(kind),
-      _heap(heap),
-      _lru(lru),
-      _migrator(migrator),
-      _kloc(kloc),
-      _fast(fast),
-      _slow(slow),
+TieringStrategy::TieringStrategy(const char *name, const Behavior &behavior,
+                                 const PolicyContext &ctx, Config config)
+    : _name(name),
+      _behavior(behavior),
+      _heap(ctx.heap),
+      _lru(ctx.lru),
+      _migrator(ctx.migrator),
+      _kloc(ctx.kloc),
+      _fast(ctx.fast),
+      _slow(ctx.slow),
       _config(config)
 {
-    const bool needs_kloc = kind == StrategyKind::KlocNoMigration ||
-                            kind == StrategyKind::Kloc;
-    KLOC_ASSERT(!needs_kloc || kloc != nullptr,
-                "strategy %s requires a KlocManager", strategyName(kind));
+    KLOC_ASSERT(!behavior.kloc || _kloc != nullptr,
+                "strategy %s requires a KlocManager", name);
 }
 
 void
 TieringStrategy::install()
 {
     _heap.setPolicy(this);
-    const bool kloc_on = _kind == StrategyKind::KlocNoMigration ||
-                         _kind == StrategyKind::Kloc;
     if (_kloc) {
-        _kloc->setEnabled(kloc_on);
-        if (kloc_on) {
+        _kloc->setEnabled(_behavior.kloc);
+        if (_behavior.kloc)
             _kloc->setTierOrder({_fast, _slow});
-            _heap.setKlocInterface(true);
-        } else {
-            _heap.setKlocInterface(false);
-        }
+        _heap.setKlocInterface(_behavior.kloc);
     }
     _migrator.setParallelism(
-        _kind == StrategyKind::Nimble ||
-        _kind == StrategyKind::NimblePlusPlus ||
-        _kind == StrategyKind::KlocNoMigration ||
-        _kind == StrategyKind::Kloc
-            ? _config.migrationParallelism
-            : 1);
-}
-
-bool
-TieringStrategy::usesAppMigration() const
-{
-    // Nimble's app-page tiering is also reused by both KLOC modes
-    // (Table 5: "Original Nimble policies ... for application pages").
-    // AutoNuma migrates app pages too, just with a serial page copy.
-    return _kind == StrategyKind::AutoNuma ||
-           _kind == StrategyKind::Nimble ||
-           _kind == StrategyKind::NimblePlusPlus ||
-           _kind == StrategyKind::KlocNoMigration ||
-           _kind == StrategyKind::Kloc;
-}
-
-bool
-TieringStrategy::usesKernelScanMigration() const
-{
-    // Only Nimble++ migrates kernel pages through LRU scans; the
-    // KLOC strategies migrate them through knodes instead.
-    return _kind == StrategyKind::NimblePlusPlus;
+        _behavior.parallelCopy ? _config.migrationParallelism : 1);
 }
 
 TierPreference
@@ -96,23 +46,7 @@ TieringStrategy::kernelPreference(ObjClass cls, bool knode_active)
 TierPreference
 TieringStrategy::kernelPlacement(ObjClass cls, bool knode_active)
 {
-    switch (_kind) {
-      case StrategyKind::AllFast:
-        return {_fast};
-      case StrategyKind::AllSlow:
-        return {_slow};
-      case StrategyKind::Naive:
-      case StrategyKind::AutoNuma:
-      case StrategyKind::NimblePlusPlus:
-        // Greedy: fast until full. Stock NUMA balancing ignores
-        // kernel objects, so AutoNuma places them like Naive.
-        return {_fast, _slow};
-      case StrategyKind::Nimble:
-        // Prior art places kernel objects in slow memory on two-tier
-        // systems (§3.2), except KLOC's own metadata does not exist.
-        return {_slow, _fast};
-      case StrategyKind::KlocNoMigration:
-      case StrategyKind::Kloc:
+    if (_behavior.kernel == Start::KnodeHotness) {
         // KLOC metadata and unmanaged classes are pinned fast; the
         // managed classes follow knode hotness (§4.2.2). A
         // sys_kloc_memsize cap diverts kernel objects once their
@@ -123,31 +57,29 @@ TieringStrategy::kernelPlacement(ObjClass cls, bool knode_active)
             return {_fast, _slow};
         if (_kloc && _kloc->overMemLimit(_fast))
             return {_slow, _fast};
-        return knode_active ? TierPreference{_fast, _slow}
-                            : TierPreference{_slow, _fast};
     }
-    return {_fast, _slow};
+    return order(_behavior.kernel, knode_active);
 }
 
 TierPreference
 TieringStrategy::appPreference()
 {
-    return _heap.tiers().preferHealthy(appPlacement());
+    return _heap.tiers().preferHealthy(order(_behavior.app, false));
 }
 
 TierPreference
-TieringStrategy::appPlacement()
+TieringStrategy::order(Start start, bool knode_active) const
 {
-    switch (_kind) {
-      case StrategyKind::AllFast:
-        return {_fast};
-      case StrategyKind::AllSlow:
-        return {_slow};
-      default:
-        // Application pages are prioritised for fast memory by every
-        // dynamic strategy.
-        return {_fast, _slow};
+    switch (start) {
+      case Start::Fast:         return {_fast};
+      case Start::Slow:         return {_slow};
+      case Start::FastFirst:    return {_fast, _slow};
+      case Start::SlowFirst:    return {_slow, _fast};
+      case Start::KnodeHotness:
+        return knode_active ? TierPreference{_fast, _slow}
+                            : TierPreference{_slow, _fast};
     }
+    return {_fast, _slow};
 }
 
 void
@@ -155,11 +87,10 @@ TieringStrategy::scanTick()
 {
     if (!_running)
         return;
-    ++_scanTicks;
     Machine &machine = _heap.mem().machine();
     TierManager &tiers = _heap.tiers();
 
-    const bool kernel_scope = usesKernelScanMigration();
+    const bool kernel_scope = _behavior.kernelScan;
 
     // Demote cold pages off the fast tier under pressure. The scan
     // and filter scratch buffers persist across ticks so the
@@ -211,7 +142,7 @@ TieringStrategy::start()
     if (_running)
         return;
     Machine &machine = _heap.mem().machine();
-    if (usesAppMigration()) {
+    if (_behavior.appScan) {
         _running = true;
         machine.events().schedule(
             machine.now() + _config.scanPeriod,
@@ -220,7 +151,7 @@ TieringStrategy::start()
                     scanTick();
             });
     }
-    if (_kind == StrategyKind::Kloc && _kloc)
+    if (_behavior.klocDaemon && _kloc)
         _kloc->startDaemon(_config.klocDaemonPeriod);
 }
 

@@ -4,20 +4,25 @@
  *
  * Each strategy answers (i) where allocations of each class start
  * (PlacementPolicy) and (ii) what migrates when (its periodic tick).
+ * One TieringStrategy class runs every row; a row is a Behavior, and
+ * the registry table (policy/registry.cc) holds one per name:
  *
- *  - AllFast / AllSlow: static bounds.
- *  - Naive: greedy first-come-first-served into fast memory; no
+ *  - all_fast / all_slow: static bounds.
+ *  - naive: greedy first-come-first-served into fast memory; no
  *    migration at all.
- *  - Nimble: application-page tiering with parallelised page copy;
+ *  - autonuma: stock NUMA-balancing semantics mapped onto two tiers
+ *    (app pages fast-first with serial scan-driven migration, kernel
+ *    objects greedy like naive).
+ *  - nimble: application-page tiering with parallelised page copy;
  *    kernel objects live in slow memory (what prior art does for
  *    two-tier systems, §3.2).
- *  - Nimble++: Nimble's scan-driven mechanisms extended to kernel
+ *  - nimble++: Nimble's scan-driven mechanisms extended to kernel
  *    pages, without the KLOC abstraction — slab pages stay
  *    non-relocatable and scan latency exceeds kernel object
  *    lifetimes, so hot kernel objects rarely return to fast memory.
- *  - KlocNoMigration: KLOC direct allocation (active knodes' objects
- *    to fast memory) but no kernel-object migration.
- *  - Kloc: the full system — direct allocation, immediate demotion
+ *  - klocs_nomigration: KLOC direct allocation (active knodes'
+ *    objects to fast memory) but no kernel-object migration.
+ *  - klocs: the full system — direct allocation, immediate demotion
  *    of inactive KLOCs, promotion on re-activation, watermark
  *    pressure handling, plus Nimble's app-page tiering.
  */
@@ -26,36 +31,40 @@
 #define KLOC_POLICY_STRATEGY_HH
 
 #include <memory>
-#include <string>
 
 #include "core/kloc_manager.hh"
 #include "mem/lru.hh"
 #include "mem/migration.hh"
 #include "policy/policy.hh"
+#include "policy/registry.hh"
 
 namespace kloc {
-
-/** The strategies of Table 5 (two-tier platform), plus AutoNuma:
- *  stock NUMA-balancing semantics mapped onto two tiers (app pages
- *  fast-first with serial scan-driven migration, kernel objects
- *  greedy like Naive). */
-enum class StrategyKind {
-    AllFast,
-    AllSlow,
-    Naive,
-    AutoNuma,
-    Nimble,
-    NimblePlusPlus,
-    KlocNoMigration,
-    Kloc,
-};
-
-const char *strategyName(StrategyKind kind);
 
 /** One configured tiering strategy. */
 class TieringStrategy : public Policy
 {
   public:
+    /** Where a class of allocations starts. */
+    enum class Start : uint8_t {
+        Fast,          ///< fast tier only
+        Slow,          ///< slow tier only
+        FastFirst,     ///< fast until full, then slow
+        SlowFirst,     ///< slow until full, then fast
+        KnodeHotness,  ///< fast while the owning knode is active
+    };
+
+    /** What one Table 5 row does. */
+    struct Behavior
+    {
+        Start kernel;       ///< where kernel objects start
+        Start app;          ///< where application pages start
+        bool appScan;       ///< the app-page scan tick runs
+        bool kernelScan;    ///< the scan tick also migrates kernel pages
+        bool parallelCopy;  ///< Nimble's parallel page copy
+        bool kloc;          ///< KLOC interface on (needs a KlocManager)
+        bool klocDaemon;    ///< the KLOC daemon runs
+    };
+
     struct Config
     {
         Tick scanPeriod = 100 * kMillisecond;
@@ -72,23 +81,14 @@ class TieringStrategy : public Policy
     };
 
     /**
-     * @param kloc May be null for strategies that don't use KLOC
-     *             (required non-null for the KLOC strategies).
+     * @param name Registry name; must outlive the strategy.
+     * @param ctx  ctx.kloc may be null unless @p behavior.kloc is set.
      */
-    TieringStrategy(StrategyKind kind, KernelHeap &heap, LruEngine &lru,
-                    MigrationEngine &migrator, KlocManager *kloc,
-                    TierId fast, TierId slow, Config config);
+    TieringStrategy(const char *name, const Behavior &behavior,
+                    const PolicyContext &ctx, Config config);
 
-    /** Convenience overload using the default Config. */
-    TieringStrategy(StrategyKind kind, KernelHeap &heap, LruEngine &lru,
-                    MigrationEngine &migrator, KlocManager *kloc,
-                    TierId fast, TierId slow)
-        : TieringStrategy(kind, heap, lru, migrator, kloc, fast, slow,
-                          Config{})
-    {}
-
-    StrategyKind kind() const { return _kind; }
-    const char *name() const override { return strategyName(_kind); }
+    const char *name() const override { return _name; }
+    const Behavior &behavior() const { return _behavior; }
 
     /**
      * Apply the strategy: installs itself as the heap's placement
@@ -103,30 +103,22 @@ class TieringStrategy : public Policy
     /** Stop periodic work. */
     void stop() override;
 
-    bool
-    usesKloc() const override
-    {
-        return _kind == StrategyKind::KlocNoMigration ||
-               _kind == StrategyKind::Kloc;
-    }
+    bool usesKloc() const override { return _behavior.kloc; }
 
     // -- PlacementPolicy ----------------------------------------------------
     TierPreference kernelPreference(ObjClass cls,
                                     bool knode_active) override;
     TierPreference appPreference() override;
 
-    /** Scan ticks executed (diagnostics). */
-    uint64_t scanTicks() const { return _scanTicks; }
-
   private:
-    bool usesAppMigration() const;
-    bool usesKernelScanMigration() const;
     void scanTick();
+
+    /** @p start as a tier order, before health reordering. */
+    TierPreference order(Start start, bool knode_active) const;
 
     /** Health-blind placement order; the public preference methods
      *  reorder it with TierManager::preferHealthy. */
     TierPreference kernelPlacement(ObjClass cls, bool knode_active);
-    TierPreference appPlacement();
 
     /**
      * Liveness token for scheduled tick lambdas: events capture a
@@ -135,7 +127,8 @@ class TieringStrategy : public Policy
      */
     std::shared_ptr<int> _alive = std::make_shared<int>(0);
 
-    StrategyKind _kind;
+    const char *_name;
+    Behavior _behavior;
     KernelHeap &_heap;
     LruEngine &_lru;
     MigrationEngine &_migrator;
@@ -144,7 +137,6 @@ class TieringStrategy : public Policy
     TierId _slow;
     Config _config;
     bool _running = false;
-    uint64_t _scanTicks = 0;
 
     /** Per-tick scratch buffers, reused so scans don't allocate. */
     ScanResult _scanScratch;

@@ -1,16 +1,17 @@
 /**
  * @file
- * Policy tests: per-strategy placement preferences (Table 5),
- * install() side effects, scan-driven migration, and the AutoNUMA
+ * Policy tests: placement preferences and install() side effects of
+ * every Table 5 row, scan-driven migration, and the AutoNUMA
  * family for the Optane platform.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "platform/optane.hh"
 #include "platform/two_tier.hh"
 #include "policy/autonuma.hh"
-#include "policy/strategy.hh"
 
 namespace kloc {
 namespace {
@@ -18,75 +19,120 @@ namespace {
 class StrategyTest : public ::testing::Test
 {
   protected:
-    StrategyTest()
+    StrategyTest() { reset(); }
+
+    /** A fresh tiny platform (scale 1:1024, fast tests). */
+    void
+    reset()
     {
         TwoTierPlatform::Config config;
-        config.scale = 1024;  // tiny tiers, fast tests
+        config.scale = 1024;
         platform = std::make_unique<TwoTierPlatform>(config);
     }
 
-    TierPreference
-    kernelPref(StrategyKind kind, ObjClass cls, bool active)
+    /** @p pref spelled as tier initials, e.g. "FS" for fast-first. */
+    std::string
+    spell(const TierPreference &pref) const
     {
-        TieringStrategy &strategy = platform->applyStrategy(kind);
-        return strategy.kernelPreference(cls, active);
+        std::string out;
+        for (const TierId tier : pref)
+            out += tier == platform->fastTier() ? 'F' : 'S';
+        return out;
     }
+
+    /** Apply Table 5 row @p name and check it against kTable5. */
+    void expectRow(const std::string &name);
 
     std::unique_ptr<TwoTierPlatform> platform;
 };
 
+/** What one Table 5 row must look like once applied. */
+struct Table5Expectation
+{
+    const char *name;
+    const char *pageCacheActive;    ///< kernel, PageCache, knode active
+    const char *pageCacheInactive;  ///< kernel, PageCache, knode idle
+    const char *klocMeta;           ///< kernel, KlocMeta
+    const char *app;
+    bool kloc;  ///< KLOC runtime, heap interface and early demux on
+    unsigned parallelism;
+};
+
+// §3.2: prior art (nimble) starts kernel objects slow; KLOC keeps its
+// metadata fast and follows knode hotness (§4.2.2).
+const Table5Expectation kTable5[] = {
+    {"all_fast", "F", "F", "F", "F", false, 1},
+    {"all_slow", "S", "S", "S", "S", false, 1},
+    {"naive", "FS", "FS", "FS", "FS", false, 1},
+    {"autonuma", "FS", "FS", "FS", "FS", false, 1},
+    {"nimble", "SF", "SF", "SF", "FS", false, 8},
+    {"nimble++", "FS", "FS", "FS", "FS", false, 8},
+    {"klocs_nomigration", "FS", "SF", "FS", "FS", true, 8},
+    {"klocs", "FS", "SF", "FS", "FS", true, 8},
+};
+
+void
+StrategyTest::expectRow(const std::string &name)
+{
+    SCOPED_TRACE(name);
+    const Table5Expectation *row = nullptr;
+    for (const Table5Expectation &candidate : kTable5) {
+        if (name == candidate.name)
+            row = &candidate;
+    }
+    ASSERT_NE(row, nullptr) << "no Table 5 expectation for " << name;
+    reset();
+    Policy &policy = platform->applyPolicyByName(name);
+    EXPECT_EQ(spell(policy.kernelPreference(ObjClass::PageCache, true)),
+              row->pageCacheActive);
+    EXPECT_EQ(spell(policy.kernelPreference(ObjClass::PageCache, false)),
+              row->pageCacheInactive);
+    EXPECT_EQ(spell(policy.kernelPreference(ObjClass::KlocMeta, false)),
+              row->klocMeta);
+    EXPECT_EQ(spell(policy.appPreference()), row->app);
+    System &sys = platform->sys();
+    EXPECT_EQ(sys.kloc().enabled(), row->kloc);
+    EXPECT_EQ(sys.heap().klocInterface(), row->kloc);
+    EXPECT_EQ(sys.net().earlyDemux(), row->kloc);
+    EXPECT_EQ(sys.migrator().parallelism(), row->parallelism);
+}
+
+TEST_F(StrategyTest, EveryTable5Row)
+{
+    for (const Table5Expectation &row : kTable5)
+        expectRow(row.name);
+}
+
 TEST_F(StrategyTest, AllFastAllSlowAreStatic)
 {
-    const TierId fast = platform->fastTier();
-    const TierId slow = platform->slowTier();
-    EXPECT_EQ(kernelPref(StrategyKind::AllFast, ObjClass::PageCache, true),
-              TierPreference{fast});
-    EXPECT_EQ(kernelPref(StrategyKind::AllSlow, ObjClass::PageCache, true),
-              TierPreference{slow});
+    expectRow("all_fast");
+    expectRow("all_slow");
 }
 
 TEST_F(StrategyTest, NaiveIsGreedyFastFirst)
 {
-    const auto pref =
-        kernelPref(StrategyKind::Naive, ObjClass::SockBuf, false);
-    ASSERT_EQ(pref.size(), 2u);
-    EXPECT_EQ(pref[0], platform->fastTier());
+    expectRow("naive");
 }
 
 TEST_F(StrategyTest, NimblePutsKernelObjectsInSlow)
 {
-    const auto pref =
-        kernelPref(StrategyKind::Nimble, ObjClass::PageCache, true);
-    EXPECT_EQ(pref[0], platform->slowTier())
-        << "prior art places kernel objects in slow memory (§3.2)";
-    // ...but application pages go fast-first.
-    TieringStrategy &strategy =
-        platform->applyStrategy(StrategyKind::Nimble);
-    EXPECT_EQ(strategy.appPreference()[0], platform->fastTier());
+    expectRow("nimble");
 }
 
 TEST_F(StrategyTest, KlocFollowsKnodeHotness)
 {
-    const auto hot =
-        kernelPref(StrategyKind::Kloc, ObjClass::PageCache, true);
-    const auto cold =
-        kernelPref(StrategyKind::Kloc, ObjClass::PageCache, false);
-    EXPECT_EQ(hot[0], platform->fastTier());
-    EXPECT_EQ(cold[0], platform->slowTier());
-    // KLOC metadata is pinned fast regardless.
-    const auto meta =
-        kernelPref(StrategyKind::Kloc, ObjClass::KlocMeta, false);
-    EXPECT_EQ(meta[0], platform->fastTier());
+    expectRow("klocs");
+    expectRow("klocs_nomigration");
 }
 
 TEST_F(StrategyTest, InstallTogglesKlocMachinery)
 {
-    platform->applyStrategy(StrategyKind::Kloc);
+    platform->applyPolicyByName("klocs");
     EXPECT_TRUE(platform->sys().kloc().enabled());
     EXPECT_TRUE(platform->sys().heap().klocInterface());
     EXPECT_TRUE(platform->sys().net().earlyDemux());
 
-    platform->applyStrategy(StrategyKind::Nimble);
+    platform->applyPolicyByName("nimble");
     EXPECT_FALSE(platform->sys().kloc().enabled());
     EXPECT_FALSE(platform->sys().heap().klocInterface());
     EXPECT_FALSE(platform->sys().net().earlyDemux());
@@ -94,12 +140,11 @@ TEST_F(StrategyTest, InstallTogglesKlocMachinery)
 
 TEST_F(StrategyTest, UnmanagedClassPinnedFastUnderKloc)
 {
-    platform->applyStrategy(StrategyKind::Kloc);
+    Policy &policy = platform->applyPolicyByName("klocs");
     platform->sys().kloc().setManagedClasses(
         ~(1u << static_cast<unsigned>(ObjClass::Journal)));
-    TieringStrategy &strategy = *platform->strategy();
     const auto pref =
-        strategy.kernelPreference(ObjClass::Journal, /*active=*/false);
+        policy.kernelPreference(ObjClass::Journal, /*active=*/false);
     EXPECT_EQ(pref[0], platform->fastTier())
         << "excluded classes are always placed in fast memory (§7.3)";
     platform->sys().kloc().setManagedClasses(~0u);
@@ -108,7 +153,7 @@ TEST_F(StrategyTest, UnmanagedClassPinnedFastUnderKloc)
 TEST_F(StrategyTest, ScanTickDemotesUnderPressure)
 {
     System &sys = platform->sys();
-    platform->applyStrategy(StrategyKind::Nimble);
+    platform->applyPolicyByName("nimble");
     // Fill the fast tier with cold app pages beyond the watermark.
     std::vector<Frame *> pages;
     Tier &fast = sys.tiers().tier(platform->fastTier());
@@ -208,6 +253,21 @@ TEST(PlatformTest, TwoTierScalesCapacities)
     EXPECT_EQ(fast.readBandwidth / slow.readBandwidth, 8u);
     EXPECT_EQ(fast.readLatency, slow.readLatency)
         << "throttled DRAM differs in bandwidth, not latency";
+}
+
+TEST(PlatformTest, SizeForPolicyGrowsFastTierOnlyForAllFast)
+{
+    TwoTierPlatform::Config config;
+    config.fastCapacity = 8 * kGiB;
+    config.slowCapacity = 72 * kGiB;
+    for (const std::string &name : policyNames()) {
+        const TwoTierPlatform::Config sized = sizeForPolicy(config, name);
+        EXPECT_EQ(sized.slowCapacity, config.slowCapacity) << name;
+        EXPECT_EQ(sized.fastCapacity, name == "all_fast"
+                                          ? 80 * kGiB
+                                          : config.fastCapacity)
+            << name;
+    }
 }
 
 TEST(PlatformTest, OptaneBlendsDramAndPmemTiming)

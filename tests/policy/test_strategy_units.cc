@@ -1,7 +1,6 @@
 /**
  * @file
- * Unit coverage for the policy dispatch layer: strategyName() for
- * every StrategyKind (including the AutoNuma mapping), registry
+ * Unit coverage for the policy dispatch layer: registry
  * construction of every registered policy name, and AutoNumaPolicy
  * edge cases (empty remote tier, a single-frame KLOC following the
  * task across sockets, all tiers cold).
@@ -20,24 +19,10 @@
 #include "mem/placement.hh"
 #include "policy/autonuma.hh"
 #include "policy/registry.hh"
-#include "policy/strategy.hh"
 #include "sim/machine.hh"
 
 namespace kloc {
 namespace {
-
-TEST(StrategyName, CoversEveryKind)
-{
-    EXPECT_STREQ(strategyName(StrategyKind::AllFast), "all_fast");
-    EXPECT_STREQ(strategyName(StrategyKind::AllSlow), "all_slow");
-    EXPECT_STREQ(strategyName(StrategyKind::Naive), "naive");
-    EXPECT_STREQ(strategyName(StrategyKind::AutoNuma), "autonuma");
-    EXPECT_STREQ(strategyName(StrategyKind::Nimble), "nimble");
-    EXPECT_STREQ(strategyName(StrategyKind::NimblePlusPlus), "nimble++");
-    EXPECT_STREQ(strategyName(StrategyKind::KlocNoMigration),
-                 "klocs_nomigration");
-    EXPECT_STREQ(strategyName(StrategyKind::Kloc), "klocs");
-}
 
 /** Minimal two-tier stack for registry construction tests. */
 struct RegistryStack

@@ -74,8 +74,11 @@ expectedLine(const std::string &workload, const std::string &policy,
     return line;
 }
 
-class KlocsimDifferential
-    : public ::testing::TestWithParam<std::pair<const char *, const char *>>
+// std::string, not const char *: gtest prints a char pointer's address
+// into the test's listed name, which would change from build to build.
+using Cell = std::pair<std::string, std::string>;  ///< workload, policy
+
+class KlocsimDifferential : public ::testing::TestWithParam<Cell>
 {};
 
 TEST_P(KlocsimDifferential, RunMatchesBenchHarness)
@@ -95,10 +98,9 @@ TEST_P(KlocsimDifferential, RunMatchesBenchHarness)
 
 INSTANTIATE_TEST_SUITE_P(
     Cells, KlocsimDifferential,
-    ::testing::Values(std::make_pair("thrash", "klocs"),
-                      std::make_pair("rocksdb", "naive")),
+    ::testing::Values(Cell{"thrash", "klocs"}, Cell{"rocksdb", "naive"}),
     [](const auto &info) {
-        return std::string(info.param.first) + "_" + info.param.second;
+        return info.param.first + "_" + info.param.second;
     });
 
 class KlocsimBadNumber : public ::testing::TestWithParam<const char *>

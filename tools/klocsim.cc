@@ -338,9 +338,7 @@ cmdRun(const Args &args)
         fatal("unknown policy '%s' (see klocsim list)",
               args.strategy.c_str());
     }
-    if (args.strategy == strategyName(StrategyKind::AllFast))
-        config.fastCapacity += config.slowCapacity;
-    TwoTierPlatform platform(config);
+    TwoTierPlatform platform(sizeForPolicy(config, args.strategy));
     System &sys = platform.sys();
     platform.applyPolicyByName(args.strategy);
     applyFaults(sys, args);
@@ -413,7 +411,7 @@ cmdCharacterize(const Args &args)
     config.scale = args.scale;
     TwoTierPlatform platform(config);
     System &sys = platform.sys();
-    platform.applyStrategy(StrategyKind::Naive);
+    platform.applyPolicyByName("naive");
     applyFaults(sys, args);
     sys.fs().startDaemons();
     auto checker = startTracing(sys, args);
