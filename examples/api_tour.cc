@@ -73,7 +73,6 @@ main()
     kloc.addObject(knode, &page);
 
     JournalRecord record;
-    record.inodeId = ino;
     heap.allocBacking(record, true, knode->id);
     kloc.addObject(knode, &record);
 

@@ -15,6 +15,12 @@
  * src/base/ — wrap the container in sortedSnapshot() or, for loops
  * that are provably order-independent reductions, add a
  * `// klint:allow(determinism): <why>` justification.
+ *
+ * sortedSnapshot() copies and sorts on every call, so it costs
+ * O(n log n) in the container's size each time. That is fine for a
+ * periodic daemon tick; a container enumerated on a per-op path
+ * (readdir over every file name, say) should be kept ordered instead
+ * (std::map/std::set), so the walk costs only the copy it needs.
  */
 
 #ifndef KLOC_BASE_ORDERED_HH

@@ -14,27 +14,9 @@ Journal::~Journal()
     // Drop any uncommitted transaction state. This is an abort, not a
     // commit, but it still releases journal objects — open a detach
     // window so the invariant checker sees a sanctioned release.
-    // Move the queues into locals before releasing anything: freeing
-    // charges time, charged time dispatches events, and the commit
-    // timer firing mid-teardown must find the queues already empty
-    // instead of half-released.
     Tracer &tracer = _heap.mem().machine().tracer();
     tracer.emit(TraceEventType::JournalDetachStart, 0);
-    std::vector<std::unique_ptr<JournalRecord>> records =
-        std::move(_records);
-    _records.clear();
-    std::vector<std::unique_ptr<JournalPage>> pages = std::move(_pages);
-    _pages.clear();
-    for (auto &rec : records) {
-        if (_kloc && rec->knode)
-            _kloc->removeObject(rec.get());
-        _heap.freeBacking(*rec);
-    }
-    for (auto &page : pages) {
-        if (_kloc && page->knode)
-            _kloc->removeObject(page.get());
-        _heap.freeBacking(*page);
-    }
+    releaseTransaction();
     tracer.emit(TraceEventType::JournalDetachEnd, 0);
 }
 
@@ -46,7 +28,6 @@ Journal::logMetadata(Knode *knode, bool active, uint64_t inode_id,
     machine.cpuWork(kLogCost);
 
     auto rec = std::make_unique<JournalRecord>();
-    rec->inodeId = inode_id;
     rec->txId = _txId;
     const uint64_t group = knode ? knode->id : 0;
     if (!_heap.allocBacking(*rec, active, group))
@@ -54,6 +35,7 @@ Journal::logMetadata(Knode *knode, bool active, uint64_t inode_id,
     if (_kloc && knode)
         _kloc->addObject(knode, rec.get());
     _heap.touchObject(*rec, AccessType::Write);
+    _byInode[inode_id].records.push_back(rec.get());
     _records.push_back(std::move(rec));
 
     // Every page worth of logged metadata pins a journal buffer page.
@@ -62,12 +44,12 @@ Journal::logMetadata(Knode *knode, bool active, uint64_t inode_id,
         _pendingMetaBytes -= kPageSize;
         auto page = std::make_unique<JournalPage>();
         page->txId = _txId;
-        page->inodeId = inode_id;
         if (!_heap.allocBacking(*page, active, group))
             break;
         if (_kloc && knode)
             _kloc->addObject(knode, page.get());
         _heap.touchObject(*page, AccessType::Write);
+        _byInode[inode_id].pages.push_back(page.get());
         _pages.push_back(std::move(page));
     }
 }
@@ -75,15 +57,16 @@ Journal::logMetadata(Knode *knode, bool active, uint64_t inode_id,
 void
 Journal::releaseTransaction()
 {
-    // Same shape as the destructor: take the queues first, release
-    // after. removeObject/freeBacking charge time, and a dispatched
-    // event re-entering the journal must see the transaction as
-    // already gone.
+    // Take the queues first, release after. removeObject/freeBacking
+    // charge time, and a dispatched event re-entering the journal
+    // (the commit timer during teardown, an unlink's detachInode
+    // during commit) must see the transaction as already gone.
     std::vector<std::unique_ptr<JournalRecord>> records =
         std::move(_records);
     _records.clear();
     std::vector<std::unique_ptr<JournalPage>> pages = std::move(_pages);
     _pages.clear();
+    _byInode.clear();
     for (auto &rec : records) {
         if (_kloc && rec->knode)
             _kloc->removeObject(rec.get());
@@ -241,23 +224,28 @@ Journal::detachInode(uint64_t inode_id)
 {
     Tracer &tracer = _heap.mem().machine().tracer();
     tracer.emit(TraceEventType::JournalDetachStart, inode_id);
-    // removeObject charges time, and charged time can fire the commit
-    // timer. Latch _committing so a timer tick cannot run
-    // releaseTransaction under these walks (save/restore: detach may
-    // itself run inside a commit).
-    const bool was_committing = _committing;
-    _committing = true;
-    for (auto &rec : _records) {
-        if (rec->inodeId == inode_id && _kloc && rec->knode)
-            // klint:allow(iterator-invalidation): the _committing latch above keeps the commit timer out of releaseTransaction mid-walk
-            _kloc->removeObject(rec.get());
+    // Take the inode's objects out of the index before walking them:
+    // removeObject charges time, and a logMetadata that re-enters
+    // meanwhile indexes into a fresh entry, not into this walk. The
+    // objects themselves are owned by _records/_pages, so latch
+    // _committing to keep a commit-timer tick from freeing them
+    // mid-walk (save/restore: detach may itself run inside a commit).
+    auto entry = _byInode.extract(inode_id);
+    if (!entry.empty()) {
+        const bool was_committing = _committing;
+        _committing = true;
+        for (JournalRecord *rec : entry.mapped().records) {
+            ++_detachVisited;
+            if (_kloc && rec->knode)
+                _kloc->removeObject(rec);
+        }
+        for (JournalPage *page : entry.mapped().pages) {
+            ++_detachVisited;
+            if (_kloc && page->knode)
+                _kloc->removeObject(page);
+        }
+        _committing = was_committing;
     }
-    for (auto &page : _pages) {
-        if (page->inodeId == inode_id && _kloc && page->knode)
-            // klint:allow(iterator-invalidation): the _committing latch above keeps the commit timer out of releaseTransaction mid-walk
-            _kloc->removeObject(page.get());
-    }
-    _committing = was_committing;
     tracer.emit(TraceEventType::JournalDetachEnd, inode_id);
 }
 

@@ -23,6 +23,7 @@
 #define KLOC_FS_JOURNAL_HH
 
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "core/kloc_manager.hh"
@@ -61,7 +62,8 @@ class Journal
     /**
      * Untrack any in-flight records/pages belonging to @p inode_id
      * from their knode (called before the knode is destroyed on
-     * unlink). The objects stay allocated until commit.
+     * unlink). The objects stay allocated until commit. Costs only
+     * the inode's own objects, which a per-inode index finds.
      */
     void detachInode(uint64_t inode_id);
 
@@ -79,7 +81,17 @@ class Journal
     uint64_t recoveredTxs() const { return _recoveredTxs; }
     uint64_t commitAborts() const { return _commitAborts; }
 
+    /** Records and pages detachInode() has walked, over all calls. */
+    uint64_t detachVisited() const { return _detachVisited; }
+
   private:
+    /** One inode's queued objects, each list in log order. */
+    struct InodeObjects
+    {
+        std::vector<JournalRecord *> records;
+        std::vector<JournalPage *> pages;
+    };
+
     void timerTick(Tick period);
 
     /** Replay the crashed transaction. @return true on success. */
@@ -95,6 +107,8 @@ class Journal
     uint64_t _txId = 1;
     std::vector<std::unique_ptr<JournalRecord>> _records;
     std::vector<std::unique_ptr<JournalPage>> _pages;
+    /** _records and _pages by inode, for detachInode. */
+    std::unordered_map<uint64_t, InodeObjects> _byInode;
     Bytes _pendingMetaBytes{};
     uint64_t _journalSector = kJournalStartSector;
     uint64_t _committedTxs = 0;
@@ -105,6 +119,7 @@ class Journal
     uint64_t _crashes = 0;
     uint64_t _recoveredTxs = 0;
     uint64_t _commitAborts = 0;
+    uint64_t _detachVisited = 0;
     /** Liveness token for the commit-timer lambdas. */
     std::shared_ptr<int> _alive = std::make_shared<int>(0);
 };

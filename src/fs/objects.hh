@@ -83,7 +83,6 @@ struct JournalRecord : KernelObject
 {
     JournalRecord() : KernelObject(KobjKind::JournalRecord) {}
 
-    uint64_t inodeId = 0;
     uint64_t txId = 0;
 };
 
@@ -93,7 +92,6 @@ struct JournalPage : KernelObject
     JournalPage() : KernelObject(KobjKind::JournalPage) {}
 
     uint64_t txId = 0;
-    uint64_t inodeId = 0;
 };
 
 /** Block I/O request (struct bio). */

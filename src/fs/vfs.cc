@@ -24,7 +24,7 @@ FileSystem::~FileSystem()
     stopDaemons();
     // Tear down every inode: pages off the global LRU, objects
     // untracked and freed, knodes unmapped.
-    for (const auto &name : sortedSnapshot(_names)) {
+    for (const std::string &name : nameList()) {
         // Force-close any lingering fds.
         auto it = _names.find(name);
         if (it == _names.end())
@@ -849,15 +849,26 @@ FileSystem::exists(const std::string &name) const
 }
 
 std::vector<std::string>
+FileSystem::nameList() const
+{
+    std::vector<std::string> names;
+    names.reserve(_names.size());
+    for (const auto &entry : _names)
+        names.push_back(entry.first);
+    return names;
+}
+
+std::vector<std::string>
 FileSystem::readdir()
 {
     Machine &machine = _heap.mem().machine();
     machine.cpuWork(kSyscallCost);
-    std::vector<std::string> names;
-    names.reserve(_names.size());
+    // Copy the names out before charging any time below: a charge can
+    // dispatch events that create or unlink files.
+    std::vector<std::string> names = nameList();
     size_t in_buffer = 0;
     std::unique_ptr<DirBuffer> dir_buf;
-    for (const std::string &name : sortedSnapshot(_names)) {
+    for (size_t i = 0; i < names.size(); ++i) {
         if (in_buffer == 0) {
             // Fill a fresh dirent buffer (getdents chunking).
             if (dir_buf) {
@@ -872,7 +883,6 @@ FileSystem::readdir()
         // Copy one dirent into the buffer.
         if (dir_buf->backed())
             _heap.touchObject(*dir_buf, AccessType::Write);
-        names.push_back(name);
         in_buffer = (in_buffer + 1) % 64;
     }
     if (dir_buf && dir_buf->backed()) {

@@ -13,6 +13,7 @@
 #ifndef KLOC_FS_VFS_HH
 #define KLOC_FS_VFS_HH
 
+#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -223,6 +224,8 @@ class FileSystem
                          Knode *knode, bool active);
     void evictDentries();
     void destroyInode(uint64_t inode_id);
+    /** Every file name, in name order. */
+    std::vector<std::string> nameList() const;
 
     KernelHeap &_heap;
     KlocManager *_kloc;
@@ -232,7 +235,11 @@ class FileSystem
     std::unique_ptr<BlockLayer> _blockLayer;
     std::unique_ptr<Journal> _journal;
 
-    std::unordered_map<std::string, uint64_t> _names;
+    /**
+     * Name -> inode id. Ordered, so readdir and teardown enumerate
+     * it in name order without sorting.
+     */
+    std::map<std::string, uint64_t> _names;
     std::unordered_map<uint64_t, InodeInfo> _inodes;
 
     /** Dentry LRU cache. */

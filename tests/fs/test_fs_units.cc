@@ -1,12 +1,17 @@
 /**
  * @file
  * Filesystem sub-component tests: the block device timing model,
- * the bio/blk-mq path, the journal lifecycle, and the per-inode
- * page cache (including radix-node kernel-object accounting).
+ * the bio/blk-mq path, the journal lifecycle and its per-inode detach
+ * index, and the per-inode page cache (including radix-node
+ * kernel-object accounting).
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "fault/fault.hh"
 #include "fs/block_layer.hh"
 #include "fs/device.hh"
 #include "fs/journal.hh"
@@ -142,6 +147,163 @@ TEST_F(FsUnitTest, JournalDetachInodeAllowsUnmap)
     EXPECT_EQ(knode->objectCount(), 0u);
     kloc.unmapKnode(knode);  // must not assert
     journal.commit(false);   // records freed without a knode
+}
+
+TEST_F(FsUnitTest, JournalDetachVisitsOnlyTheInodesObjects)
+{
+    BlockLayer block(heap, &kloc, device);
+    Journal journal(heap, &kloc, block);
+    Knode *knode = kloc.mapKnode(1);
+    Knode *other = kloc.mapKnode(2);
+    // Inode 1's three records and one page sit among 1,000 records
+    // of other inodes; no other log crosses a page of metadata.
+    for (int i = 0; i < 1000; ++i) {
+        journal.logMetadata(other, true, 2 + i % 10, Bytes{});
+        if (i % 400 == 0)
+            journal.logMetadata(knode, true, 1,
+                                i == 0 ? kPageSize : Bytes{});
+    }
+    ASSERT_EQ(journal.liveRecords(), 1003u);
+    ASSERT_EQ(knode->objectCount(), 4u);
+
+    const uint64_t before = journal.detachVisited();
+    journal.detachInode(1);
+    EXPECT_EQ(journal.detachVisited() - before, 4u);
+    EXPECT_EQ(knode->objectCount(), 0u);
+    EXPECT_EQ(other->objectCount(), 1000u);
+
+    journal.commit(false);
+    kloc.unmapKnode(knode);
+    kloc.unmapKnode(other);
+}
+
+TEST_F(FsUnitTest, JournalDetachAfterCommitIsNoOp)
+{
+    BlockLayer block(heap, &kloc, device);
+    Journal journal(heap, &kloc, block);
+    Knode *knode = kloc.mapKnode(1);
+    journal.logMetadata(knode, true, 1, kPageSize);
+    journal.commit(false);
+    ASSERT_EQ(journal.liveRecords(), 0u);
+
+    const uint64_t before = journal.detachVisited();
+    journal.detachInode(1);
+    EXPECT_EQ(journal.detachVisited(), before);
+    EXPECT_EQ(knode->objectCount(), 0u);
+    kloc.unmapKnode(knode);
+}
+
+TEST_F(FsUnitTest, JournalDetachAfterCrashReplayIsNoOp)
+{
+    BlockLayer block(heap, &kloc, device);
+    Journal journal(heap, &kloc, block);
+    Knode *knode = kloc.mapKnode(1);
+    Knode *other = kloc.mapKnode(2);
+    journal.logMetadata(knode, true, 1, kPageSize);
+    journal.logMetadata(other, true, 2, Bytes{256});
+
+    FaultSpec spec;
+    std::string err;
+    ASSERT_TRUE(FaultSpec::parse("seed 7\njournal_commit_crash oneshot 1\n",
+                                 spec, &err)) << err;
+    machine.faults().configure(spec);
+    journal.commit(true);
+    ASSERT_TRUE(journal.crashed());
+
+    // A crash keeps the transaction queued, and its index with it.
+    const uint64_t before = journal.detachVisited();
+    journal.detachInode(2);
+    EXPECT_EQ(journal.detachVisited() - before, 1u);
+    EXPECT_EQ(other->objectCount(), 0u);
+
+    // The replay frees every object; detaching afterwards must not
+    // reach them (ASan reports a use-after-free if it does).
+    journal.commit(true);
+    ASSERT_FALSE(journal.crashed());
+    ASSERT_EQ(journal.recoveredTxs(), 1u);
+    journal.detachInode(1);
+    journal.detachInode(2);
+    EXPECT_EQ(journal.detachVisited() - before, 1u);
+    EXPECT_EQ(knode->objectCount(), 0u);
+    kloc.unmapKnode(knode);
+    kloc.unmapKnode(other);
+}
+
+TEST_F(FsUnitTest, JournalDetachLeavesInterleavedInodeTracked)
+{
+    BlockLayer block(heap, &kloc, device);
+    Journal journal(heap, &kloc, block);
+    Knode *a = kloc.mapKnode(1);
+    Knode *b = kloc.mapKnode(2);
+    for (int i = 0; i < 6; ++i) {
+        journal.logMetadata(a, true, 1, kPageSize);
+        journal.logMetadata(b, true, 2, kPageSize);
+    }
+    // Six records and six pages each, alternating in the log.
+    ASSERT_EQ(a->objectCount(), 12u);
+    ASSERT_EQ(b->objectCount(), 12u);
+
+    journal.detachInode(1);
+    EXPECT_EQ(a->objectCount(), 0u);
+    EXPECT_EQ(b->objectCount(), 12u);
+    kloc.unmapKnode(a);
+
+    journal.commit(false);
+    EXPECT_EQ(b->objectCount(), 0u);
+    kloc.unmapKnode(b);
+}
+
+TEST_F(FsUnitTest, JournalDetachUntracksRecordsThenPagesInLogOrder)
+{
+    BlockLayer block(heap, &kloc, device);
+    Journal journal(heap, &kloc, block);
+    Knode *a = kloc.mapKnode(1);
+    Knode *b = kloc.mapKnode(2);
+    Tracer &tracer = machine.tracer();
+    tracer.setEnabled(true);
+    journal.logMetadata(a, true, 1, kPageSize);
+    journal.logMetadata(b, true, 2, kPageSize);
+    journal.logMetadata(a, true, 1, Bytes{});
+    journal.logMetadata(a, true, 1, kPageSize);
+
+    // Inode 1's objects in the order they were tracked.
+    std::vector<uint64_t> records, pages;
+    for (const TraceEvent &e : tracer.events()) {
+        if (e.type != TraceEventType::ObjTrack || e.args[0] != 1)
+            continue;
+        const auto kind = static_cast<KobjKind>(e.args[1]);
+        (kind == KobjKind::JournalPage ? pages : records)
+            .push_back(e.args[3]);
+    }
+    ASSERT_EQ(records.size(), 3u);
+    ASSERT_EQ(pages.size(), 2u);
+    std::vector<uint64_t> want = records;
+    want.insert(want.end(), pages.begin(), pages.end());
+
+    journal.detachInode(1);
+    std::vector<uint64_t> got;
+    std::vector<KobjKind> kinds;
+    bool in_window = false;
+    for (const TraceEvent &e : tracer.events()) {
+        if (e.type == TraceEventType::JournalDetachStart && e.args[0] == 1)
+            in_window = true;
+        else if (e.type == TraceEventType::JournalDetachEnd)
+            in_window = false;
+        else if (in_window && e.type == TraceEventType::ObjUntrack) {
+            EXPECT_EQ(e.args[0], 1u);
+            kinds.push_back(static_cast<KobjKind>(e.args[1]));
+            got.push_back(e.args[3]);
+        }
+    }
+    EXPECT_EQ(kinds, (std::vector<KobjKind>{
+                         KobjKind::JournalRecord, KobjKind::JournalRecord,
+                         KobjKind::JournalRecord, KobjKind::JournalPage,
+                         KobjKind::JournalPage}));
+    EXPECT_EQ(got, want);
+
+    journal.commit(false);
+    kloc.unmapKnode(a);
+    kloc.unmapKnode(b);
 }
 
 TEST_F(FsUnitTest, JournalCommitTimer)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "platform/two_tier.hh"
+#include "trace/invariants.hh"
 #include "workload/runner.hh"
 #include "workload/workload.hh"
 
@@ -138,6 +139,40 @@ TEST(VfsExtended, DestroyWithDirtyPagesViaTeardown)
     // written back (the file is gone).
     EXPECT_TRUE(sys.fs().unlink("dirty_file"));
     EXPECT_EQ(sys.fs().cachedPages(), 0u);
+}
+
+TEST(VfsExtended, DestructorTearsDownWithAFileStillOpen)
+{
+    auto platform = makePlatform();
+    System &sys = platform->sys();
+    sys.machine().tracer().setEnabled(true);
+    InvariantChecker checker(sys.machine().tracer());
+    const uint64_t knodes = sys.kloc().knodeCount();
+    {
+        FileSystem fs(sys.heap(), &sys.kloc(), FileSystem::Config{});
+        fs.startDaemons();
+        // Interleave creates and unlinks so the journal holds records
+        // of live and of deleted inodes when teardown starts.
+        for (int i = 0; i < 40; ++i) {
+            const int fd = fs.create("n" + std::to_string(i));
+            ASSERT_GE(fd, 0);
+            fs.write(fd, Bytes{0}, kPageSize);
+            fs.close(fd);
+            if (i % 3 == 2) {
+                EXPECT_TRUE(fs.unlink("n" + std::to_string(i - 1)));
+            }
+        }
+        const int open_fd = fs.open("n0");
+        ASSERT_GE(open_fd, 0);
+        fs.write(open_fd, kPageSize, kPageSize);
+        EXPECT_FALSE(fs.unlink("n0"));  // still open
+        EXPECT_GT(fs.journal().liveRecords(), 0u);
+        EXPECT_EQ(fs.liveInodes(), 27u);
+        EXPECT_GT(sys.kloc().knodeCount(), knodes);
+    }
+    // The destructor force-closed n0 and freed every inode's objects.
+    EXPECT_EQ(sys.kloc().knodeCount(), knodes);
+    EXPECT_TRUE(checker.clean()) << checker.report();
 }
 
 TEST(VfsExtended, ZeroLengthIo)

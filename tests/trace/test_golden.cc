@@ -1,8 +1,8 @@
 /**
  * @file
- * Golden-trace regression tests: two small deterministic scenarios
- * whose serialized traces must be byte-identical across runs and
- * match the committed golden files under tests/trace/golden/.
+ * Golden-trace regression tests: small deterministic scenarios whose
+ * serialized traces must be byte-identical across runs and match the
+ * committed golden files under tests/trace/golden/.
  *
  * Regenerate the golden files after an intentional tracepoint or
  * scenario change with:
@@ -12,11 +12,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/kloc_manager.hh"
 #include "fault/fault.hh"
@@ -24,6 +26,7 @@
 #include "fs/device.hh"
 #include "fs/journal.hh"
 #include "fs/objects.hh"
+#include "fs/vfs.hh"
 #include "mem/placement.hh"
 #include "sim/machine.hh"
 #include "trace/invariants.hh"
@@ -211,6 +214,62 @@ runDeviceErrorRetry(std::string *report)
     return s.machine.tracer().serialize();
 }
 
+/**
+ * Scenario D: filesystem metadata churn. Files are created and
+ * written in three passes, so journal records of different inodes
+ * alternate in the log, and only two fsyncs commit part of it. Unlinks then
+ * detach inodes while other inodes' records are still pending, a
+ * readdir walks the survivors, a commit frees the transaction, and the
+ * FileSystem destructor tears down the rest.
+ */
+std::string
+runFsUnlinkReaddir(std::string *report)
+{
+    TraceStack s(/*kernel_fast_first=*/true);
+    {
+        FileSystem fs(s.heap, &s.kloc, FileSystem::Config{});
+        auto name = [](int i) { return "f" + std::to_string(100 + i); };
+        constexpr int files = 30;
+        std::vector<int> fds;
+        for (int i = 0; i < files; ++i) {
+            const int fd = fs.create(name(i));
+            EXPECT_GE(fd, 0);
+            fs.write(fd, Bytes{}, Bytes{kPageSize});
+            fds.push_back(fd);
+        }
+        for (int i = 0; i < files; ++i) {
+            fs.write(fds[i], Bytes{kPageSize},
+                     Bytes{static_cast<uint64_t>(i % 3 + 1) * 1024});
+            if (i == 7 || i == 14)
+                fs.fsync(fds[i]);
+        }
+        for (int i = 0; i < files; ++i) {
+            if (i % 2 == 1)
+                fs.write(fds[i], 2 * Bytes{kPageSize}, Bytes{kPageSize});
+            fs.close(fds[i]);
+        }
+        EXPECT_GT(fs.journal().liveRecords(), 0u);
+
+        // Unlink with other inodes' records pending: some victims
+        // have records of their own in the log, some were committed.
+        for (const int i : {29, 3, 22, 14, 8, 27})
+            EXPECT_TRUE(fs.unlink(name(i)));
+        EXPECT_GT(fs.journal().liveRecords(), 0u);
+
+        const std::vector<std::string> names = fs.readdir();
+        EXPECT_EQ(names.size(), static_cast<size_t>(files - 6));
+        EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+
+        fs.journal().commit(/*foreground=*/true);
+        EXPECT_EQ(fs.journal().liveRecords(), 0u);
+        EXPECT_TRUE(fs.unlink(name(0)));
+    }
+
+    EXPECT_TRUE(s.checker->clean()) << s.checker->report();
+    *report = s.checker->report();
+    return s.machine.tracer().serialize();
+}
+
 std::string
 goldenPath(const std::string &name)
 {
@@ -271,6 +330,16 @@ TEST(GoldenTrace, DeviceErrorRetryDeterministicAndGolden)
     EXPECT_EQ(first, second) << "trace not deterministic across runs";
     EXPECT_GT(parseTrace(first).size(), 0u);
     compareGolden("device_error_retry", first);
+}
+
+TEST(GoldenTrace, FsUnlinkReaddirDeterministicAndGolden)
+{
+    std::string report1, report2;
+    const std::string first = runFsUnlinkReaddir(&report1);
+    const std::string second = runFsUnlinkReaddir(&report2);
+    EXPECT_EQ(first, second) << "trace not deterministic across runs";
+    EXPECT_GT(parseTrace(first).size(), 0u);
+    compareGolden("fs_unlink_readdir", first);
 }
 
 } // namespace
