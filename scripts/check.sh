@@ -81,6 +81,20 @@ cmp "$tracedir/a.trace" "$tracedir/b.trace" || {
     exit 1
 }
 
+# The same a/b check on thrash, whose sweep is the per-access hot
+# path (the cost memo, the cached current socket, LRU activation).
+run_thrash() {
+    "$BUILD_DIR"/tools/klocsim run --workload thrash --ops 1000 \
+        --scale 64 --trace "$1" --check > "$1.out"
+}
+run_thrash "$tracedir/ta.trace" &
+run_thrash "$tracedir/tb.trace" &
+wait
+cmp "$tracedir/ta.trace" "$tracedir/tb.trace" || {
+    echo "FAIL: klocsim thrash traces differ between identical runs" >&2
+    exit 1
+}
+
 # Same check with fault injection armed: injected faults, retries,
 # and recovery must land on the same virtual ticks in both runs.
 cat > "$tracedir/faults.txt" <<'EOF'

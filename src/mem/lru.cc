@@ -67,13 +67,13 @@ LruEngine::onAccessed(Frame *frame)
     }
     if (!frame->lruHook.linked())
         return;
-    Tier &t = _tiers.tier(frame->tier);
     if (frame->onActiveList) {
         frame->referenced = true;
         return;
     }
     if (frame->referenced) {
         // Second touch while inactive: promote (mark_page_accessed).
+        Tier &t = _tiers.tier(frame->tier);
         t.inactiveList().remove(frame);
         t.activeList().pushFront(frame);
         frame->onActiveList = true;

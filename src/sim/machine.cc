@@ -16,6 +16,7 @@ Machine::reset()
     _clock.reset();
     _events.clear();
     _currentCpu = 0;
+    _currentSocket = socketOf(_currentCpu);
     _kernelRefs = 0;
     _userRefs = 0;
     _kernelRefTicks = Tick{};

@@ -56,9 +56,11 @@ class Machine
     {
         KLOC_ASSERT(cpu < _numCpus, "cpu %u out of range", cpu);
         _currentCpu = cpu;
+        _currentSocket = socketOf(cpu);
     }
 
-    int currentSocket() const { return socketOf(_currentCpu); }
+    /** socketOf(currentCpu()), kept up to date by setCurrentCpu. */
+    int currentSocket() const { return _currentSocket; }
 
     // -- time -------------------------------------------------------------
     Tick now() const { return _clock.now(); }
@@ -158,6 +160,7 @@ class Machine
     Tracer _tracer{_clock};
     FaultInjector _faults{_tracer};
     unsigned _currentCpu = 0;
+    int _currentSocket = 0;
 
     uint64_t _kernelRefs = 0;
     uint64_t _userRefs = 0;

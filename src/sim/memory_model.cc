@@ -17,15 +17,8 @@ MemoryModel::addTier(const TierSpec &spec)
     const auto socket = static_cast<size_t>(spec.socket);
     if (_interference.size() <= socket)
         _interference.resize(socket + 1, 1.0);
+    resetMemo();
     return static_cast<TierId>(_tiers.size() - 1);
-}
-
-const TierSpec &
-MemoryModel::spec(TierId tier) const
-{
-    KLOC_ASSERT(tier >= 0 && static_cast<size_t>(tier) < _tiers.size(),
-                "bad tier id %d", tier);
-    return _tiers[static_cast<size_t>(tier)];
 }
 
 Tick
@@ -50,8 +43,8 @@ MemoryModel::rawCost(TierId tier, Bytes bytes, AccessType type,
 }
 
 Tick
-MemoryModel::accessCost(TierId tier, Bytes bytes, AccessType type,
-                        int from_socket) const
+MemoryModel::filteredCost(TierId tier, Bytes bytes, AccessType type,
+                          int from_socket) const
 {
     const Tick miss = rawCost(tier, bytes, type, from_socket);
     if (_llcHitFraction <= 0.0)
@@ -70,6 +63,7 @@ MemoryModel::setInterference(int socket, double factor)
     if (_interference.size() <= idx)
         _interference.resize(idx + 1, 1.0);
     _interference[idx] = factor;
+    resetMemo();
 }
 
 void
@@ -77,6 +71,24 @@ MemoryModel::clearInterference()
 {
     for (auto &factor : _interference)
         factor = 1.0;
+    resetMemo();
+}
+
+void
+MemoryModel::resetMemo()
+{
+    _memo.resize(_tiers.size() * 4);
+    for (size_t t = 0; t < _tiers.size(); ++t) {
+        const TierId tier{static_cast<int>(t)};
+        const int local = _tiers[t].socket;
+        for (const AccessType type : {AccessType::Read, AccessType::Write}) {
+            for (const bool remote : {false, true}) {
+                const int from = remote ? local + 1 : local;
+                _memo[memoSlot(tier, type, remote)] = {
+                    Bytes{0}, filteredCost(tier, Bytes{0}, type, from)};
+            }
+        }
+    }
 }
 
 } // namespace kloc

@@ -53,12 +53,21 @@ ThrashWorkload::run(System &sys)
         const uint64_t base = (op * kSlidePages) % arena;
         // Sweep the window cyclically, a chunk per op, so every
         // resident page is touched once per lap; pages the slide
-        // abandons go cold until the window wraps back around.
+        // abandons go cold until the window wraps back around. pos
+        // walks (cursor + j) % ws and page walks (base + pos) % arena,
+        // each reduced once here and then wrapped by hand.
+        uint64_t pos = cursor % ws;
+        uint64_t page = (base + pos) % arena;
         for (uint64_t j = 0; j < kChunkPages; ++j) {
-            const uint64_t pos = (cursor + j) % ws;
             const bool write = pos * kWriteBandDiv < ws;
-            touchArena(sys, (base + pos) % arena, 4 * kKiB,
+            touchArena(sys, page, 4 * kKiB,
                        write ? AccessType::Write : AccessType::Read);
+            if (++pos == ws) {
+                pos = 0;
+                page = base;
+            } else if (++page == arena) {
+                page = 0;
+            }
         }
         cursor = (cursor + kChunkPages) % ws;
         if (op % kLogInterval == 0) {

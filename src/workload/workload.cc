@@ -99,7 +99,8 @@ Workload::touchArena(System &sys, uint64_t idx, Bytes bytes,
 {
     if (_arena.empty())
         return;
-    Frame *frame = _arena[idx % _arena.size()];
+    const size_t size = _arena.size();
+    Frame *frame = _arena[idx < size ? idx : idx % size];
     sys.mem().touch(frame, bytes, type);
 }
 

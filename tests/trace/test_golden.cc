@@ -28,8 +28,11 @@
 #include "fs/objects.hh"
 #include "fs/vfs.hh"
 #include "mem/placement.hh"
+#include "platform/two_tier.hh"
 #include "sim/machine.hh"
 #include "trace/invariants.hh"
+#include "workload/runner.hh"
+#include "workload/thrash.hh"
 
 #ifndef KLOC_TRACE_GOLDEN_DIR
 #error "KLOC_TRACE_GOLDEN_DIR must point at tests/trace/golden"
@@ -270,6 +273,54 @@ runFsUnlinkReaddir(std::string *report)
     return s.machine.tracer().serialize();
 }
 
+/**
+ * Scenario E: the ThrashWorkload driver itself under the klocs
+ * policy, at a scale where the arena is 1k pages and the fast tier
+ * half that. The LruActivate order pins the sweep order and the
+ * activation path of LruEngine::onAccessed; the event ticks pin every
+ * per-access cost the sweep charged.
+ */
+std::string
+runThrashWorkloadKlocs(uint64_t ops, std::string *report)
+{
+    constexpr unsigned kScale = 4096;
+    TwoTierPlatform::Config config;
+    config.scale = kScale;
+    TwoTierPlatform platform(config);
+    System &sys = platform.sys();
+    platform.applyPolicyByName("klocs");
+    sys.fs().startDaemons();
+    sys.machine().tracer().setEnabled(true);
+    InvariantChecker checker(sys.machine().tracer());
+
+    WorkloadConfig wl_config;
+    wl_config.scale = kScale;
+    wl_config.operations = ops;
+    ThrashWorkload workload(wl_config);
+    const WorkloadResult result = runMeasured(sys, workload);
+    EXPECT_EQ(result.operations, ops);
+    EXPECT_EQ(workload.workingSetAt(0), 384u);  // 0.375 x 1024 pages
+
+    sys.machine().tracer().setEnabled(false);
+    std::string trace = sys.machine().tracer().serialize();
+    workload.teardown(sys);
+    EXPECT_TRUE(checker.clean()) << checker.report();
+    *report = checker.report();
+    return trace;
+}
+
+/** FNV-1a over @p bytes. */
+uint64_t
+fnv1a(const std::string &bytes)
+{
+    uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const char c : bytes) {
+        hash ^= static_cast<unsigned char>(c);
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
 std::string
 goldenPath(const std::string &name)
 {
@@ -340,6 +391,34 @@ TEST(GoldenTrace, FsUnlinkReaddirDeterministicAndGolden)
     EXPECT_EQ(first, second) << "trace not deterministic across runs";
     EXPECT_GT(parseTrace(first).size(), 0u);
     compareGolden("fs_unlink_readdir", first);
+}
+
+TEST(GoldenTrace, ThrashWorkloadKlocsDeterministicAndGolden)
+{
+    std::string report1, report2;
+    const std::string first = runThrashWorkloadKlocs(48, &report1);
+    const std::string second = runThrashWorkloadKlocs(48, &report2);
+    EXPECT_EQ(first, second) << "trace not deterministic across runs";
+    EXPECT_GT(parseTrace(first).size(), 0u);
+    compareGolden("thrash_workload_klocs", first);
+}
+
+/**
+ * The 48-op golden never wraps the sweep around the end of the arena
+ * (the window starts at page 2 x op) and never reaches a wave crest.
+ * This 3000-op run does both, with LRU scans running, so an
+ * off-by-one in either wrap changes the pages touched and with them
+ * the trace. It is kept as a digest rather than a file; on an
+ * intentional simulation change, update the constants from the
+ * failure message.
+ */
+TEST(GoldenTrace, ThrashWorkloadKlocsLongRunDigest)
+{
+    std::string report;
+    const std::string trace = runThrashWorkloadKlocs(3000, &report);
+    EXPECT_EQ(parseTrace(trace).size(), 3976u);
+    EXPECT_EQ(fnv1a(trace), 0x3fe5071e2bde568dULL)
+        << std::hex << "trace digest is 0x" << fnv1a(trace);
 }
 
 } // namespace
