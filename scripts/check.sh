@@ -66,37 +66,45 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
 # Golden-style determinism check on the CLI path: same command, two
 # fresh processes, identical serialized traces, zero violations. The
-# two runs are independent processes, so they run concurrently.
+# two runs are independent processes, so they run concurrently; each
+# must exit 0 (klocsim exits 2 when --check finds a violation).
 tracedir=$(mktemp -d)
 trap 'rm -rf "$tracedir"' EXIT
-run_traced() {
-    "$BUILD_DIR"/tools/klocsim run --workload rocksdb --ops 2000 \
-        --scale 16 --trace "$1" --check > "$1.out"
-}
-run_traced "$tracedir/a.trace" &
-run_traced "$tracedir/b.trace" &
-wait
-cmp "$tracedir/a.trace" "$tracedir/b.trace" || {
-    echo "FAIL: klocsim traces differ between identical runs" >&2
-    exit 1
-}
-
-# The same a/b check on thrash, whose sweep is the per-access hot
-# path (the cost memo, the cached current socket, LRU activation).
-run_thrash() {
-    "$BUILD_DIR"/tools/klocsim run --workload thrash --ops 1000 \
-        --scale 64 --trace "$1" --check > "$1.out"
-}
-run_thrash "$tracedir/ta.trace" &
-run_thrash "$tracedir/tb.trace" &
-wait
-cmp "$tracedir/ta.trace" "$tracedir/tb.trace" || {
-    echo "FAIL: klocsim thrash traces differ between identical runs" >&2
-    exit 1
+ab_check() {
+    local name=$1
+    shift
+    "$BUILD_DIR"/tools/klocsim run "$@" --trace "$tracedir/$name.a" \
+        --check > "$tracedir/$name.a.out" &
+    local pid_a=$!
+    "$BUILD_DIR"/tools/klocsim run "$@" --trace "$tracedir/$name.b" \
+        --check > "$tracedir/$name.b.out" &
+    local pid_b=$!
+    local rc_a=0 rc_b=0
+    wait "$pid_a" || rc_a=$?
+    wait "$pid_b" || rc_b=$?
+    if [ "$rc_a" != 0 ] || [ "$rc_b" != 0 ]; then
+        echo "FAIL: klocsim $name runs exited $rc_a/$rc_b" >&2
+        cat "$tracedir/$name.a.out" >&2
+        exit 1
+    fi
+    cmp "$tracedir/$name.a" "$tracedir/$name.b" || {
+        echo "FAIL: klocsim $name traces differ between identical runs" >&2
+        exit 1
+    }
 }
 
-# Same check with fault injection armed: injected faults, retries,
-# and recovery must land on the same virtual ticks in both runs.
+ab_check rocksdb --workload rocksdb --ops 2000 --scale 16
+
+# thrash's sweep is the per-access hot path (the cost memo, the
+# cached current socket, LRU activation).
+ab_check thrash --workload thrash --ops 1000 --scale 64
+
+# varmail's directory scans charge DirBuffer fills through the count
+# form of readdir (getdents).
+ab_check varmail --workload varmail --ops 2000 --scale 256
+
+# With fault injection armed, injected faults, retries, and recovery
+# must land on the same virtual ticks in both runs.
 cat > "$tracedir/faults.txt" <<'EOF'
 seed 11
 device_write prob 0.02
@@ -105,18 +113,8 @@ device_timeout prob 0.005
 migration_no_space prob 0.1
 journal_commit_crash prob 0.1
 EOF
-run_faulted() {
-    "$BUILD_DIR"/tools/klocsim run --workload rocksdb --ops 2000 \
-        --scale 16 --fault-spec "$tracedir/faults.txt" \
-        --trace "$1" --check > "$1.out"
-}
-run_faulted "$tracedir/fa.trace" &
-run_faulted "$tracedir/fb.trace" &
-wait
-cmp "$tracedir/fa.trace" "$tracedir/fb.trace" || {
-    echo "FAIL: klocsim traces differ between identical faulted runs" >&2
-    exit 1
-}
+ab_check rocksdb-faulted --workload rocksdb --ops 2000 --scale 16 \
+    --fault-spec "$tracedir/faults.txt"
 
 # The randomized fault fuzz must be invariant-clean on every seed;
 # the sweep fans the seeds out over KLOC_JOBS RunPool workers.

@@ -18,9 +18,12 @@
  *
  * sortedSnapshot() copies and sorts on every call, so it costs
  * O(n log n) in the container's size each time. That is fine for a
- * periodic daemon tick; a container enumerated on a per-op path
- * (readdir over every file name, say) should be kept ordered instead
- * (std::map/std::set), so the walk costs only the copy it needs.
+ * periodic daemon tick; a container enumerated in order on a per-op
+ * path (readdir() listing every file name, say) should be kept
+ * ordered instead (std::map/std::set), so the walk costs only the
+ * copy it needs. A caller that needs only how many entries there
+ * are should not walk at all: varmail's directory scans charge from
+ * the entry count (FileSystem::getdents()) and copy no names.
  */
 
 #ifndef KLOC_BASE_ORDERED_HH

@@ -9,6 +9,13 @@
 
 namespace kloc {
 
+namespace {
+
+/** readdir entries copied into one DirBuffer (getdents chunking). */
+constexpr size_t kDirentsPerBuffer = 64;
+
+} // namespace
+
 FileSystem::FileSystem(KernelHeap &heap, KlocManager *kloc,
                        const Config &config)
     : _heap(heap), _kloc(kloc), _config(config)
@@ -861,36 +868,42 @@ FileSystem::nameList() const
 std::vector<std::string>
 FileSystem::readdir()
 {
-    Machine &machine = _heap.mem().machine();
-    machine.cpuWork(kSyscallCost);
+    _heap.mem().machine().cpuWork(kSyscallCost);
     // Copy the names out before charging any time below: a charge can
     // dispatch events that create or unlink files.
     std::vector<std::string> names = nameList();
-    size_t in_buffer = 0;
+    chargeDirents(names.size());
+    return names;
+}
+
+size_t
+FileSystem::getdents()
+{
+    _heap.mem().machine().cpuWork(kSyscallCost);
+    // Count at the point readdir() copies the names.
+    const size_t count = _names.size();
+    chargeDirents(count);
+    return count;
+}
+
+void
+FileSystem::chargeDirents(size_t count)
+{
     std::unique_ptr<DirBuffer> dir_buf;
-    for (size_t i = 0; i < names.size(); ++i) {
-        if (in_buffer == 0) {
-            // Fill a fresh dirent buffer (getdents chunking).
-            if (dir_buf) {
-                if (_kloc && dir_buf->knode)
-                    _kloc->removeObject(dir_buf.get());
+    for (size_t i = 0; i < count; ++i) {
+        if (i % kDirentsPerBuffer == 0) {
+            // Fill a fresh dirent buffer.
+            if (dir_buf)
                 _heap.freeBacking(*dir_buf);
-            }
             dir_buf = std::make_unique<DirBuffer>();
             if (_heap.allocBacking(*dir_buf, true, 0))
                 _heap.touchObject(*dir_buf, AccessType::Write);
         }
         // Copy one dirent into the buffer.
-        if (dir_buf->backed())
-            _heap.touchObject(*dir_buf, AccessType::Write);
-        in_buffer = (in_buffer + 1) % 64;
+        _heap.touchObject(*dir_buf, AccessType::Write);
     }
-    if (dir_buf && dir_buf->backed()) {
-        if (_kloc && dir_buf->knode)
-            _kloc->removeObject(dir_buf.get());
+    if (dir_buf)
         _heap.freeBacking(*dir_buf);
-    }
-    return names;
 }
 
 Bytes

@@ -81,7 +81,7 @@ VarmailWorkload::run(System &sys)
             if (_rng.nextBool(0.25))
                 deliverMail(sys);
         } else {
-            sys.fs().readdir();
+            sys.fs().getdents();
         }
         ++result.operations;
     }

@@ -33,6 +33,7 @@
 #include "trace/invariants.hh"
 #include "workload/runner.hh"
 #include "workload/thrash.hh"
+#include "workload/varmail.hh"
 
 #ifndef KLOC_TRACE_GOLDEN_DIR
 #error "KLOC_TRACE_GOLDEN_DIR must point at tests/trace/golden"
@@ -309,6 +310,52 @@ runThrashWorkloadKlocs(uint64_t ops, std::string *report)
     return trace;
 }
 
+/**
+ * Scenario F: the VarmailWorkload driver under the klocs policy,
+ * small enough that the spool holds a few hundred mails. The load
+ * phase and the quiesce window run as in runMeasured(); the checker
+ * sees them, but the ring is cleared before the measured op loop, so
+ * the golden holds only the loop. Its directory scans fill DirBuffers
+ * (slab objects without a knode, so no event names them); the ticks
+ * of every later event pin the dirent charge of each scan.
+ */
+std::string
+runVarmailWorkloadKlocs(uint64_t ops, uint64_t *dir_buffers,
+                        std::string *report)
+{
+    constexpr unsigned kScale = 4096;
+    TwoTierPlatform::Config config;
+    config.scale = kScale;
+    TwoTierPlatform platform(config);
+    System &sys = platform.sys();
+    platform.applyPolicyByName("klocs");
+    sys.fs().startDaemons();
+
+    WorkloadConfig wl_config;
+    wl_config.scale = kScale;
+    wl_config.operations = ops;
+    VarmailWorkload workload(wl_config);
+    sys.machine().tracer().setEnabled(true);
+    InvariantChecker checker(sys.machine().tracer());
+    workload.setup(sys);
+    sys.fs().syncAll();
+    sys.machine().charge(kQuiesceWindow);
+    sys.machine().tracer().clear();
+
+    const KmemCache &dirents = sys.heap().cache(KobjKind::DirBuffer);
+    const uint64_t allocs_before = dirents.totalAllocs();
+    const WorkloadResult result = workload.run(sys);
+    EXPECT_EQ(result.operations, ops);
+    sys.machine().tracer().setEnabled(false);
+    *dir_buffers = dirents.totalAllocs() - allocs_before;
+
+    std::string trace = sys.machine().tracer().serialize();
+    workload.teardown(sys);
+    EXPECT_TRUE(checker.clean()) << checker.report();
+    *report = checker.report();
+    return trace;
+}
+
 /** FNV-1a over @p bytes. */
 uint64_t
 fnv1a(const std::string &bytes)
@@ -419,6 +466,25 @@ TEST(GoldenTrace, ThrashWorkloadKlocsLongRunDigest)
     EXPECT_EQ(parseTrace(trace).size(), 3976u);
     EXPECT_EQ(fnv1a(trace), 0x3fe5071e2bde568dULL)
         << std::hex << "trace digest is 0x" << fnv1a(trace);
+}
+
+/**
+ * varmail scans the spool on about 2% of ops. In 200 ops it scans
+ * three times, over 259 to 274 mails, so every scan fills five
+ * 64-entry DirBuffers, the last one partly.
+ */
+TEST(GoldenTrace, VarmailWorkloadKlocsDeterministicAndGolden)
+{
+    std::string report1, report2;
+    uint64_t buffers1 = 0, buffers2 = 0;
+    const std::string first =
+        runVarmailWorkloadKlocs(200, &buffers1, &report1);
+    const std::string second =
+        runVarmailWorkloadKlocs(200, &buffers2, &report2);
+    EXPECT_EQ(first, second) << "trace not deterministic across runs";
+    EXPECT_EQ(buffers1, buffers2);
+    EXPECT_EQ(buffers1, 3 * 5u);
+    compareGolden("varmail_workload_klocs", first);
 }
 
 } // namespace
