@@ -100,7 +100,7 @@ ab_check rocksdb --workload rocksdb --ops 2000 --scale 16
 ab_check thrash --workload thrash --ops 1000 --scale 64
 
 # varmail's directory scans charge DirBuffer fills through the count
-# form of readdir (getdents).
+# form of readdir (getdents), one batched touch per buffer.
 ab_check varmail --workload varmail --ops 2000 --scale 256
 
 # With fault injection armed, injected faults, retries, and recovery
@@ -115,6 +115,17 @@ journal_commit_crash prob 0.1
 EOF
 ab_check rocksdb-faulted --workload rocksdb --ops 2000 --scale 16 \
     --fault-spec "$tracedir/faults.txt"
+
+# An armed injector draws frame_poison_access on every memory touch,
+# so varmail's batched dirent fills fall back to one touch at a time.
+# Poisoned frames, their containment and the data loss they cause
+# must land on the same ticks in both runs.
+cat > "$tracedir/poison.txt" <<'EOF'
+seed 13
+frame_poison_access prob 0.001
+EOF
+ab_check varmail-faulted --workload varmail --ops 2000 --scale 256 \
+    --fault-spec "$tracedir/poison.txt"
 
 # The randomized fault fuzz must be invariant-clean on every seed;
 # the sweep fans the seeds out over KLOC_JOBS RunPool workers.

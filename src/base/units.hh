@@ -5,10 +5,10 @@
  * Each unit is a tagged wrapper over its integer representation:
  * construction from a raw integer is explicit, so a bare uint64_t (or
  * a value of another unit) can never silently flow into a parameter
- * typed Tick/Bytes/Pfn/TierId/FrameCount — unit confusion is a
- * compile error. Conversion *out* to the representation is implicit,
- * so indexing, comparisons, trace-arg packing, and printf-casts keep
- * working unchanged.
+ * typed Tick/Bytes/Pfn/TierId/FrameCount/AccessCount — unit
+ * confusion is a compile error. Conversion *out* to the
+ * representation is implicit, so indexing, comparisons, trace-arg
+ * packing, and printf-casts keep working unchanged.
  *
  * Each unit defines only the arithmetic it legally supports (e.g.
  * Tick+Tick, Bytes*count, Pfn+offset). Any other operation decays to
@@ -154,6 +154,16 @@ constexpr Bytes operator*(Bytes page_size, FrameCount pages)
 {
     return Bytes{page_size.value() * pages.value()};
 }
+
+// ---------------------------------------------------------------------------
+// AccessCount: a number of back-to-back accesses to one object (a
+// touch run). Counting algebra only.
+
+struct AccessCountTag {};
+using AccessCount = StrongUnit<AccessCountTag, uint64_t>;
+
+constexpr AccessCount operator-(AccessCount a, AccessCount b) { return AccessCount{a.value() - b.value()}; }
+constexpr AccessCount &operator-=(AccessCount &a, AccessCount b) { return a = a - b; }
 
 // ---------------------------------------------------------------------------
 // Constants and helpers.

@@ -889,21 +889,17 @@ FileSystem::getdents()
 void
 FileSystem::chargeDirents(size_t count)
 {
-    std::unique_ptr<DirBuffer> dir_buf;
-    for (size_t i = 0; i < count; ++i) {
-        if (i % kDirentsPerBuffer == 0) {
-            // Fill a fresh dirent buffer.
-            if (dir_buf)
-                _heap.freeBacking(*dir_buf);
-            dir_buf = std::make_unique<DirBuffer>();
-            if (_heap.allocBacking(*dir_buf, true, 0))
-                _heap.touchObject(*dir_buf, AccessType::Write);
+    for (size_t done = 0; done < count; done += kDirentsPerBuffer) {
+        const size_t fill = std::min(kDirentsPerBuffer, count - done);
+        // A fresh dirent buffer: one touch to set it up, then one per
+        // dirent copied into it. Unbacked, it charges nothing.
+        DirBuffer dir_buf;
+        if (_heap.allocBacking(dir_buf, true, 0)) {
+            _heap.touchObject(dir_buf, AccessType::Write,
+                              AccessCount{fill + 1});
+            _heap.freeBacking(dir_buf);
         }
-        // Copy one dirent into the buffer.
-        _heap.touchObject(*dir_buf, AccessType::Write);
     }
-    if (dir_buf)
-        _heap.freeBacking(*dir_buf);
 }
 
 Bytes

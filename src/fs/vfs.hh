@@ -233,7 +233,12 @@ class FileSystem
     void destroyInode(uint64_t inode_id);
     /** Every file name, in name order. */
     std::vector<std::string> nameList() const;
-    /** Fill and free the DirBuffers of a @p count-entry readdir. */
+    /**
+     * Fill and free the DirBuffers of a @p count-entry readdir: one
+     * per 64 entries, touched once on alloc and once per dirent. Each
+     * buffer's touches are one batched touchObject(), whose host cost
+     * follows the events that fall due during the fill, not @p count.
+     */
     void chargeDirents(size_t count);
 
     KernelHeap &_heap;

@@ -85,6 +85,24 @@ class KernelHeap
         _mem.touch(frame, obj.size(), type);
     }
 
+    /**
+     * Charge @p count back-to-back accesses to @p obj: equal to
+     * @p count touchObject(obj, type) calls, at a host cost that grows
+     * with the events falling due among them, not with @p count.
+     */
+    void
+    touchObject(KernelObject &obj, AccessType type, AccessCount count)
+    {
+        while (count > 0) {
+            // Re-read the backing after every run segment: an event
+            // that fell due may have migrated or freed it.
+            Frame *frame = obj.frame();
+            if (frame == nullptr)
+                return;
+            count -= _mem.touchRun(frame, obj.size(), type, count);
+        }
+    }
+
     /** Allocate one application page. */
     Frame *allocAppPage();
 

@@ -32,21 +32,61 @@ class MemAccessor
     void
     touch(Frame *frame, Bytes bytes, AccessType type)
     {
-        const RefDomain domain = isKernelClass(frame->objClass)
-            ? RefDomain::Kernel
-            : RefDomain::User;
-        _machine.access(frame->tier, bytes, type, domain);
-        if (type == AccessType::Write) {
-            frame->dirty = true;
-            frame->lastWriteTick = _machine.now();
-        }
+        _machine.access(frame->tier, bytes, type, domainOf(frame));
+        markWritten(frame, type);
         _lru.onAccessed(frame);
+    }
+
+    /**
+     * Make the leading touches of a run of @p count back-to-back
+     * touch() calls on @p frame: a batch that ends before the next
+     * event deadline, or else one touch(). After that touch, events
+     * may have re-homed or freed the frame, so the caller looks it up
+     * again before going on. Equals that many touch() calls.
+     * @return touches made, at least one when @p count is.
+     */
+    AccessCount
+    touchRun(Frame *frame, Bytes bytes, AccessType type, AccessCount count)
+    {
+        // A linked inactive frame changes LRU standing on its next
+        // two touches, and an armed injector draws on every touch:
+        // go one touch at a time until neither holds.
+        if (_lru.accessIsStable(frame)) {
+            const AccessCount done = _machine.accessRun(
+                frame->tier, bytes, type, domainOf(frame), count);
+            if (done > 0) {
+                // No event ran, so every touch found the frame as the
+                // first did. They differ only in their timestamps, and
+                // the last touch's are the ones that stay.
+                markWritten(frame, type);
+                _lru.onAccessedStable(frame);
+                return done;
+            }
+        }
+        touch(frame, bytes, type);
+        return AccessCount{1};
     }
 
     Machine &machine() { return _machine; }
     LruEngine &lru() { return _lru; }
 
   private:
+    static RefDomain
+    domainOf(const Frame *frame)
+    {
+        return isKernelClass(frame->objClass) ? RefDomain::Kernel
+                                              : RefDomain::User;
+    }
+
+    void
+    markWritten(Frame *frame, AccessType type)
+    {
+        if (type == AccessType::Write) {
+            frame->dirty = true;
+            frame->lastWriteTick = _machine.now();
+        }
+    }
+
     Machine &_machine;
     LruEngine &_lru;
 };

@@ -80,6 +80,30 @@ class LruEngine
     void onAccessed(Frame *frame);
 
     /**
+     * True when back-to-back onAccessed(@p frame) calls differ only in
+     * the access time they record: the frame is off the LRU lists, or
+     * on the active list, where a touch only sets the referenced bit;
+     * and no fault is armed, so no touch draws a poison fault. A run
+     * of such accesses may then be recorded once, with
+     * onAccessedStable().
+     */
+    bool
+    accessIsStable(const Frame *frame) const
+    {
+        return !_machine.faults().armed() &&
+               (!frame->lruHook.linked() || frame->onActiveList);
+    }
+
+    /** onAccessed() for a frame where accessIsStable() holds. */
+    void
+    onAccessedStable(Frame *frame)
+    {
+        frame->lastAccessTick = _machine.now();
+        if (frame->lruHook.linked())
+            frame->referenced = true;
+    }
+
+    /**
      * Move @p frame's LRU membership from @p old_tier to its current
      * tier; call right after TierManager::migrate succeeds.
      */

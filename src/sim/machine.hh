@@ -10,7 +10,9 @@
 #ifndef KLOC_SIM_MACHINE_HH
 #define KLOC_SIM_MACHINE_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
 
 #include "base/logging.hh"
 #include "base/units.hh"
@@ -126,6 +128,41 @@ class Machine
             _userRefTicks += cost;
         }
         return cost;
+    }
+
+    /**
+     * Charge as many of @p max back-to-back access() calls (same
+     * arguments) as end strictly before the next event deadline, in
+     * one step. No event falls due, so this equals that many calls.
+     * @return accesses charged: 0 when the first one would reach a
+     *         deadline, which the caller then charges with access().
+     */
+    AccessCount
+    accessRun(TierId tier, Bytes bytes, AccessType type, RefDomain domain,
+              AccessCount max)
+    {
+        const Tick cost =
+            _memModel.accessCost(tier, bytes, type, currentSocket());
+        uint64_t fit = max;
+        if (const std::optional<Tick> deadline = _events.nextDeadline()) {
+            // Access k ends at now + k * cost; it must stay below
+            // the deadline.
+            const Tick room = *deadline - now();
+            if (room <= 0)
+                fit = 0;
+            else if (cost > 0)
+                fit = std::min<uint64_t>(fit, (room - 1) / cost);
+        }
+        const Tick total = cost * fit;
+        _clock.advance(total);
+        if (domain == RefDomain::Kernel) {
+            _kernelRefs += fit;
+            _kernelRefTicks += total;
+        } else {
+            _userRefs += fit;
+            _userRefTicks += total;
+        }
+        return AccessCount{fit};
     }
 
     /**

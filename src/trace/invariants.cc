@@ -183,9 +183,13 @@ InvariantChecker::consume(const TraceEvent &event)
         FrameState &frame = frameFor(traceFrameKey(static_cast<int>(a), Pfn{b}),
                                      false);
         if (frame.active) {
-            violation(event, "activate of already-active frame tier=%llu "
-                      "pfn=%llu",
-                      (unsigned long long)a, (unsigned long long)b);
+            // An adopting checker guessed an adopted frame's standing;
+            // the frame already holds the state this event leads to.
+            if (_strict || !frame.adopted) {
+                violation(event, "activate of already-active frame "
+                          "tier=%llu pfn=%llu",
+                          (unsigned long long)a, (unsigned long long)b);
+            }
             break;
         }
         frame.active = true;
@@ -199,9 +203,11 @@ InvariantChecker::consume(const TraceEvent &event)
         FrameState &frame = frameFor(traceFrameKey(static_cast<int>(a), Pfn{b}),
                                      true);
         if (!frame.active) {
-            violation(event, "deactivate of inactive frame tier=%llu "
-                      "pfn=%llu",
-                      (unsigned long long)a, (unsigned long long)b);
+            if (_strict || !frame.adopted) {
+                violation(event, "deactivate of inactive frame tier=%llu "
+                          "pfn=%llu",
+                          (unsigned long long)a, (unsigned long long)b);
+            }
             break;
         }
         frame.active = false;
@@ -394,8 +400,7 @@ InvariantChecker::consume(const TraceEvent &event)
                       (unsigned long long)a);
         }
         const uint64_t key = traceFrameKey(static_cast<int>(c), Pfn{d});
-        auto fit = _frames.find(key);
-        if (fit == _frames.end()) {
+        if (_strict && _frames.find(key) == _frames.end()) {
             violation(event,
                       "knode inode=%llu untracked an object whose frame "
                       "tier=%llu pfn=%llu is already freed",
@@ -403,7 +408,9 @@ InvariantChecker::consume(const TraceEvent &event)
                       (unsigned long long)d);
             break;
         }
-        FrameState &frame = fit->second;
+        // Not strict: a frame first seen here was allocated before the
+        // checker attached. Adopt it, as ObjTrack does.
+        FrameState &frame = frameFor(key, false);
         if (frame.trackedRefs > 0) {
             --frame.trackedRefs;
         } else if (_strict && !frame.adopted) {

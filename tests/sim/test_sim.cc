@@ -357,6 +357,56 @@ TEST(Machine, ChargeRunsDueEvents)
     EXPECT_EQ(fired, 1);
 }
 
+TEST(Machine, AccessRunStopsStrictlyBeforeTheNextDeadline)
+{
+    Machine machine(1, 1);
+    TierSpec spec;
+    spec.name = "t";
+    spec.capacity = kMiB;
+    spec.readLatency = Tick{80};
+    spec.writeLatency = Tick{80};
+    spec.readBandwidth = kGiB;
+    spec.writeBandwidth = kGiB;
+    const TierId t = machine.memModel().addTier(spec);
+    const Tick cost = machine.memModel().accessCost(
+        t, Bytes{64}, AccessType::Read, machine.currentSocket());
+    ASSERT_GT(cost, 0);
+
+    // No event pending: the whole run is charged.
+    EXPECT_EQ(machine.accessRun(t, Bytes{64}, AccessType::Read,
+                                RefDomain::User, AccessCount{10}),
+              10u);
+    EXPECT_EQ(machine.now(), cost * 10);
+    EXPECT_EQ(machine.userRefs(), 10u);
+    EXPECT_EQ(machine.userRefTicks(), cost * 10);
+
+    // A deadline exactly where the 5th access ends: that access must
+    // run the event, so the run stops after 4.
+    int fired = 0;
+    machine.events().schedule(machine.now() + cost * 5, [&] { ++fired; });
+    EXPECT_EQ(machine.accessRun(t, Bytes{64}, AccessType::Read,
+                                RefDomain::Kernel, AccessCount{10}),
+              4u);
+    EXPECT_EQ(fired, 0);
+    EXPECT_EQ(machine.kernelRefs(), 4u);
+    EXPECT_EQ(machine.kernelRefTicks(), cost * 4);
+
+    // The next access reaches the deadline: nothing fits.
+    const Tick before = machine.now();
+    EXPECT_EQ(machine.accessRun(t, Bytes{64}, AccessType::Read,
+                                RefDomain::Kernel, AccessCount{10}),
+              0u);
+    EXPECT_EQ(machine.now(), before);
+    machine.access(t, Bytes{64}, AccessType::Read, RefDomain::Kernel);
+    EXPECT_EQ(fired, 1);
+
+    // An event already due (scheduled at now) also leaves no room.
+    machine.events().schedule(machine.now(), [&] { ++fired; });
+    EXPECT_EQ(machine.accessRun(t, Bytes{64}, AccessType::Read,
+                                RefDomain::Kernel, AccessCount{10}),
+              0u);
+}
+
 TEST(Machine, CpuWorkDividesByParallelism)
 {
     Machine machine(4, 1);

@@ -311,8 +311,8 @@ runThrashWorkloadKlocs(uint64_t ops, std::string *report)
 }
 
 /**
- * Scenario F: the VarmailWorkload driver under the klocs policy,
- * small enough that the spool holds a few hundred mails. The load
+ * Scenario F: the VarmailWorkload under the klocs policy at
+ * @p scale (4096: the spool holds a few hundred mails). The load
  * phase and the quiesce window run as in runMeasured(); the checker
  * sees them, but the ring is cleared before the measured op loop, so
  * the golden holds only the loop. Its directory scans fill DirBuffers
@@ -320,19 +320,19 @@ runThrashWorkloadKlocs(uint64_t ops, std::string *report)
  * of every later event pin the dirent charge of each scan.
  */
 std::string
-runVarmailWorkloadKlocs(uint64_t ops, uint64_t *dir_buffers,
+runVarmailWorkloadKlocs(unsigned scale, uint64_t ops,
+                        uint64_t *dir_buffers, uint64_t *fill_events,
                         std::string *report)
 {
-    constexpr unsigned kScale = 4096;
     TwoTierPlatform::Config config;
-    config.scale = kScale;
+    config.scale = scale;
     TwoTierPlatform platform(config);
     System &sys = platform.sys();
     platform.applyPolicyByName("klocs");
     sys.fs().startDaemons();
 
     WorkloadConfig wl_config;
-    wl_config.scale = kScale;
+    wl_config.scale = scale;
     wl_config.operations = ops;
     VarmailWorkload workload(wl_config);
     sys.machine().tracer().setEnabled(true);
@@ -344,8 +344,21 @@ runVarmailWorkloadKlocs(uint64_t ops, uint64_t *dir_buffers,
 
     const KmemCache &dirents = sys.heap().cache(KobjKind::DirBuffer);
     const uint64_t allocs_before = dirents.totalAllocs();
+    // The spool stays far below the dentry cache's capacity, so no
+    // open() misses the dcache and every live DirBuffer is one a scan
+    // is filling. The fill itself emits only LruActivate (for the
+    // buffer's slab frame); any other event seen while a buffer is
+    // live came from an event that fell due inside the fill.
+    *fill_events = 0;
+    const int probe = sys.machine().tracer().addListener(
+        [&](const TraceEvent &event) {
+            if (dirents.liveObjects() > 0 &&
+                event.type != TraceEventType::LruActivate)
+                ++*fill_events;
+        });
     const WorkloadResult result = workload.run(sys);
     EXPECT_EQ(result.operations, ops);
+    sys.machine().tracer().removeListener(probe);
     sys.machine().tracer().setEnabled(false);
     *dir_buffers = dirents.totalAllocs() - allocs_before;
 
@@ -476,15 +489,38 @@ TEST(GoldenTrace, ThrashWorkloadKlocsLongRunDigest)
 TEST(GoldenTrace, VarmailWorkloadKlocsDeterministicAndGolden)
 {
     std::string report1, report2;
-    uint64_t buffers1 = 0, buffers2 = 0;
+    uint64_t buffers1 = 0, buffers2 = 0, fill_events = 0;
     const std::string first =
-        runVarmailWorkloadKlocs(200, &buffers1, &report1);
+        runVarmailWorkloadKlocs(4096, 200, &buffers1, &fill_events, &report1);
     const std::string second =
-        runVarmailWorkloadKlocs(200, &buffers2, &report2);
+        runVarmailWorkloadKlocs(4096, 200, &buffers2, &fill_events, &report2);
     EXPECT_EQ(first, second) << "trace not deterministic across runs";
     EXPECT_EQ(buffers1, buffers2);
     EXPECT_EQ(buffers1, 3 * 5u);
     compareGolden("varmail_workload_klocs", first);
+}
+
+/**
+ * The 200-op golden's scans all finish between two event deadlines.
+ * This run's spool is eight times larger (about 2k mails, still far
+ * below the dentry cache's capacity), so scans fill about 32 buffers
+ * each, and KLOC daemon passes fall due inside a fill and migrate
+ * pages there. The trace pins where such an event splits a fill and
+ * the ticks of everything after it. It is kept as a digest; on an
+ * intentional simulation change, update the constants from the
+ * failure message.
+ */
+TEST(GoldenTrace, VarmailWorkloadKlocsLongRunDigest)
+{
+    std::string report;
+    uint64_t buffers = 0, fill_events = 0;
+    const std::string trace =
+        runVarmailWorkloadKlocs(512, 1000, &buffers, &fill_events, &report);
+    EXPECT_EQ(buffers, 570u);
+    EXPECT_GT(fill_events, 0u) << "no event fell due inside a fill";
+    EXPECT_EQ(parseTrace(trace).size(), 21112u);
+    EXPECT_EQ(fnv1a(trace), 0x55bd9976c95a985bULL)
+        << std::hex << "trace digest is 0x" << fnv1a(trace);
 }
 
 } // namespace

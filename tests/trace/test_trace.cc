@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include "mem/frame.hh"
+#include "platform/two_tier.hh"
 #include "sim/machine.hh"
 #include "trace/invariants.hh"
 #include "trace/trace.hh"
+#include "workload/varmail.hh"
 
 namespace kloc {
 namespace {
@@ -347,6 +349,61 @@ TEST_F(CheckerTest, FrameFreedWhileTrackedFlagged)
     // And the later untrack sees a frame that no longer exists.
     tracer.emit(TraceEventType::ObjUntrack, 42, 1, 0, 5);
     expectViolationContaining(checker, "already freed");
+}
+
+TEST_F(CheckerTest, StrictUntrackOfFreedFrameFlagged)
+{
+    InvariantChecker checker(tracer, true);
+    tracer.emit(TraceEventType::KnodeMap, 42);
+    tracer.emit(TraceEventType::FrameAlloc, 0, 5, 0, kAppClass);
+    tracer.emit(TraceEventType::FrameFree, 0, 5, 0, kAppClass);
+    tracer.emit(TraceEventType::ObjUntrack, 42, 1, 0, 5);
+    expectViolationContaining(checker, "already freed");
+}
+
+TEST_F(CheckerTest, AdoptingCheckerAdoptsFrameFirstSeenAtUntrack)
+{
+    // Attached mid-run: the knode, the frame, and the track all came
+    // before the checker did.
+    InvariantChecker checker(tracer);
+    tracer.emit(TraceEventType::ObjUntrack, 42, 1, 0, 5);
+    EXPECT_TRUE(checker.clean()) << checker.report();
+    // Adoption guessed the frame inactive; it was active.
+    tracer.emit(TraceEventType::LruDeactivate, 0, 5);
+    EXPECT_TRUE(checker.clean()) << checker.report();
+    // The adopted frame is known from now on.
+    tracer.emit(TraceEventType::FrameFree, 0, 5, 0, kAppClass);
+    tracer.emit(TraceEventType::FrameAlloc, 0, 5, 0, kAppClass);
+    EXPECT_TRUE(checker.clean()) << checker.report();
+}
+
+/**
+ * A default checker attached to an already-built platform: varmail's
+ * load phase tracked objects on slab frames the checker never saw
+ * allocated, and the measured ops untrack them.
+ */
+TEST(CheckerAttach, AttachedAfterVarmailSetupIsClean)
+{
+    constexpr unsigned kScale = 4096;
+    TwoTierPlatform::Config config;
+    config.scale = kScale;
+    TwoTierPlatform platform(config);
+    System &sys = platform.sys();
+    platform.applyPolicyByName("klocs");
+    sys.fs().startDaemons();
+
+    WorkloadConfig wl_config;
+    wl_config.scale = kScale;
+    wl_config.operations = 1000;
+    VarmailWorkload workload(wl_config);
+    workload.setup(sys);
+
+    sys.machine().tracer().setEnabled(true);
+    InvariantChecker checker(sys.machine().tracer());
+    workload.run(sys);
+    workload.teardown(sys);
+    EXPECT_GT(checker.eventsChecked(), 0u);
+    EXPECT_EQ(checker.violations().size(), 0u) << checker.report();
 }
 
 TEST_F(CheckerTest, JournalFrameFreeRequiresWindow)
